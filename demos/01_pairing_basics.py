@@ -36,8 +36,8 @@ def main() -> None:
     # they share; on the canonical bases the Gram matrix is the identity
     perfect, gram = is_perfect_pairing(graph)
     print("gram matrix of the canonical bases:")
-    for row in gram.data:
-        print("  ", "".join(str(int(x)) for x in row))
+    for row in gram.tolist():
+        print("  ", "".join(map(str, row)))
     print("pairing is perfect:", perfect)
     print()
 

@@ -20,8 +20,8 @@ def describe(label: str, model: TwistedCurveModel) -> None:
     print("  form dimension:", form.total_dim,
           f"= {form.h_dim} (h) + {form.component_dim} (components) + {form.q_dim} (q)")
     print("  gram matrix:")
-    for row in form.gram.data:
-        print("    ", "".join(str(int(x)) for x in row))
+    for row in form.gram.tolist():
+        print("    ", "".join(map(str, row)))
     print("  alternating:", form.is_alternating())
     print("  non-degenerate:", model.is_nondegenerate())
     print()

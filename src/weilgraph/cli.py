@@ -25,7 +25,6 @@ from .cover import build_double_cover, cover_to_dot, lift_cycle
 from .documents import DocumentError, InputDocument, Report
 from .graphs import MultiGraph
 from .homology import Chain1, Cochain1, graph_pairing, homology_basis, is_perfect_pairing
-from .linalg import GF2Matrix
 from .sandpile import verify_torsion_on_subdivision
 from .sweeps import (
     model_sweep,
@@ -57,24 +56,26 @@ def _read_document(path: str) -> InputDocument:
     return InputDocument.parse(text)
 
 
+def _parse_ints(text: str, what: str, noun: str) -> list[int]:
+    """Comma-separated integers; a part that is not one is a usage error."""
+    out = []
+    for part in text.split(","):
+        try:
+            out.append(int(part))
+        except ValueError:
+            raise DocumentError(f"{what}: {part!r} is not {noun}") from None
+    return out
+
+
 def _parse_edge_list(text: str, graph: MultiGraph, what: str) -> frozenset[int]:
     """Comma-separated edge indices; the empty string is the zero chain."""
     if text.strip() == "":
         return frozenset()
-    indices = []
-    for part in text.split(","):
-        try:
-            indices.append(int(part))
-        except ValueError:
-            raise DocumentError(f"{what}: {part!r} is not an edge index") from None
+    indices = _parse_ints(text, what, "an edge index")
     bad = [i for i in indices if not 0 <= i < graph.edge_count]
     if bad:
         raise ValueError(f"{what}: edge indices {bad} out of range")
     return frozenset(indices)
-
-
-def _gram_rows(gram: GF2Matrix) -> list[list[int]]:
-    return [[int(x) for x in row] for row in gram.data]
 
 
 def _emit(report: Report, human_lines: list[str], as_json: bool) -> None:
@@ -98,7 +99,7 @@ def cmd_homology(args) -> int:
         "genus": basis.genus,
         "cycles": [sorted(c.edges) for c in basis.cycles],
         "cocycles": [sorted(z.edges) for z in basis.cocycles],
-        "gram": _gram_rows(gram),
+        "gram": gram.tolist(),
         "perfect": perfect,
     }
     lines = [
@@ -193,7 +194,7 @@ def cmd_torsion(args) -> int:
         "nondegenerate": model.is_nondegenerate(),
         "form_dimension": form.total_dim,
         "block_dimensions": [form.h_dim, form.component_dim, form.q_dim],
-        "gram": _gram_rows(form.gram),
+        "gram": form.gram.tolist(),
         "alternating": form.is_alternating(),
         "invertible": form.gram.is_invertible(),
     }
@@ -250,7 +251,7 @@ def cmd_tropical(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rs = tuple(int(part) for part in args.r.split(","))
+    rs = tuple(_parse_ints(args.r, "--r", "an integer subdivision factor"))
     if any(r < 1 for r in rs):
         raise ValueError("subdivision factors must be at least 1")
     params = {

@@ -143,15 +143,16 @@ def pairing_via_cover(base: MultiGraph, gamma: Cochain1, alpha: Chain1) -> int:
     return 1 if count == 1 else 0
 
 
+def lift_shape_ok(lift: tuple[int, tuple[frozenset, ...]], length: int) -> bool:
+    """Whether ``lift_cycle``'s result for an l-cycle is one 2l-cycle or two l-cycles."""
+    count, components = lift
+    sizes = [len(c) for c in components]
+    return (count, sizes) in ((1, [2 * length]), (2, [length, length]))
+
+
 def check_lift_shape(cover: DoubleCover, alpha: Chain1) -> bool:
     """Lift shape sanity: one 2l-cycle or two l-cycles, nothing else."""
-    length = len(alpha.edges)
-    count, components = lift_cycle(cover, alpha)
-    if count == 1:
-        return len(components[0]) == 2 * length
-    if count == 2:
-        return all(len(c) == length for c in components)
-    return False
+    return lift_shape_ok(lift_cycle(cover, alpha), len(alpha.edges))
 
 
 def cover_to_dot(cover: DoubleCover) -> str:

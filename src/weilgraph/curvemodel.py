@@ -115,21 +115,21 @@ class TwistedCurveModel:
         q_dim = len(pushed)
         comp_dim = 2 * sum(self.vertex_genus)
         total = h_dim + comp_dim + q_dim
-        gram = GF2Matrix.zeros(total, total)
+        rows = [[0] * total for _ in range(total)]
         for i, gamma in enumerate(cocycles):
             for j, alpha in enumerate(pushed):
                 bit = graph_pairing(gamma, alpha)
-                gram.data[i, h_dim + comp_dim + j] = bit
-                gram.data[h_dim + comp_dim + j, i] = bit
+                rows[i][h_dim + comp_dim + j] = bit
+                rows[h_dim + comp_dim + j][i] = bit
         off = h_dim
         for gv in self.vertex_genus:
             for k in range(gv):
-                gram.data[off + k, off + gv + k] = 1
-                gram.data[off + gv + k, off + k] = 1
+                rows[off + k][off + gv + k] = 1
+                rows[off + gv + k][off + k] = 1
             off += 2 * gv
         return WeilFormModel(
             model=self,
-            gram=gram,
+            gram=GF2Matrix(rows, cols=total),
             h_dim=h_dim,
             component_dim=comp_dim,
             q_dim=q_dim,

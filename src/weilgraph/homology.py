@@ -198,12 +198,8 @@ def homology_basis(graph: MultiGraph) -> HomologyBasis:
 def pairing_gram(graph: MultiGraph) -> GF2Matrix:
     """Gram matrix of the pairing on the canonical bases."""
     basis = homology_basis(graph)
-    g = basis.genus
-    gram = GF2Matrix.zeros(g, g)
-    for i, gamma in enumerate(basis.cocycles):
-        for j, alpha in enumerate(basis.cycles):
-            gram.data[i, j] = graph_pairing(gamma, alpha)
-    return gram
+    rows = [[graph_pairing(z, c) for c in basis.cycles] for z in basis.cocycles]
+    return GF2Matrix(rows, cols=basis.genus)
 
 
 def is_perfect_pairing(graph: MultiGraph) -> tuple[bool, GF2Matrix]:

@@ -1,20 +1,19 @@
 """Exact linear algebra: GF(2) matrices and integer Smith normal form.
 
-Two worlds live here.  ``GF2Matrix`` wraps a numpy uint8 array of 0/1
-values and supplies rank, kernel and solve with deterministic conventions
-(free variables are set to zero, kernel vectors follow ascending free
-columns).  ``IntMatrix`` and ``smith_normal_form`` work over native Python
-ints, because spanning-tree counts overflow fixed-width integers quickly;
-the Smith form carries unimodular transforms on both sides plus the inverse
-of the left one, which the critical-group generator construction consumes.
+Two worlds live here.  ``GF2Matrix`` keeps each row as a Python int whose
+bit ``j`` is column ``j``: elimination XORs whole rows, and rank, kernel
+and solve follow deterministic conventions (free variables are set to
+zero, kernel vectors follow ascending free columns).  ``IntMatrix`` and
+``smith_normal_form`` work over native Python ints, because spanning-tree
+counts overflow fixed-width integers quickly; the Smith form carries
+unimodular transforms on both sides plus the inverse of the left one,
+which the critical-group generator construction consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 __all__ = [
     "GF2Matrix",
@@ -29,127 +28,129 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _row_reduce(arr: np.ndarray) -> list[int]:
-    """In-place reduced row echelon form over GF(2).  Returns pivot columns."""
-    rows, cols = arr.shape
+def _pack(values: Iterable[int]) -> int:
+    """The bit row of a sequence of integers: bit ``j`` is entry ``j`` mod 2."""
+    return sum(1 << j for j, x in enumerate(values) if x & 1)
+
+
+def _row_reduce(rows: list[int], cols: int) -> list[int]:
+    """In-place reduced row echelon form of bit rows.  Returns pivot columns."""
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
-        if r >= rows:
-            break
-        hits = np.nonzero(arr[r:, c])[0]
-        if hits.size == 0:
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i] >> c & 1), None)
+        if p is None:
             continue
-        p = r + int(hits[0])
-        if p != r:
-            arr[[r, p]] = arr[[p, r]]
-        mask = arr[:, c].astype(bool)
-        mask[r] = False
-        arr[mask] ^= arr[r]
+        rows[r], rows[p] = rows[p], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i] >> c & 1:
+                rows[i] ^= rows[r]
         pivots.append(c)
-        r += 1
     return pivots
 
 
 class GF2Matrix:
-    """Dense matrix over GF(2), entries stored as numpy uint8 zeros and ones."""
+    """Immutable dense matrix over GF(2), built from nested rows of integers
+    reduced mod 2 (``cols`` sets the width when there are no rows).  Row
+    ``i`` is kept as a private int whose bit ``j`` is entry ``(i, j)``."""
 
-    __slots__ = ("data",)
+    __slots__ = ("_bits", "rows", "cols")
 
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=np.uint8)
-        if arr.ndim != 2:
-            raise ValueError("GF2Matrix needs a two-dimensional array")
-        self.data = (arr & 1).copy()
+    def __init__(self, entries: Iterable[Iterable[int]], *, cols: int | None = None):
+        try:
+            rows = [tuple(row) for row in entries]
+        except TypeError:
+            raise ValueError("GF2Matrix needs nested rows") from None
+        width = len(rows[0]) if rows else (cols or 0)
+        if any(len(row) != width for row in rows) or cols not in (None, width):
+            raise ValueError("ragged rows, or cols disagrees with the row width")
+        self._bits = tuple(map(_pack, rows))
+        self.rows, self.cols = len(rows), width
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "GF2Matrix":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
+        return cls([[0] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
-        return cls(np.eye(n, dtype=np.uint8))
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
+    def entry(self, i: int, j: int) -> int:
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"no entry ({i}, {j}) in a {self.rows}x{self.cols} matrix")
+        return self._bits[i] >> j & 1
 
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
+    def tolist(self) -> list[list[int]]:
+        return [[row >> j & 1 for j in range(self.cols)] for row in self._bits]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GF2Matrix) and np.array_equal(self.data, other.data)
+        same_type = isinstance(other, GF2Matrix)
+        return same_type and (self._bits, self.cols) == (other._bits, other.cols)
 
     def __hash__(self):
-        return hash((self.data.shape, self.data.tobytes()))
+        return hash((self._bits, self.cols))
 
     def __repr__(self) -> str:
-        body = ";".join("".join(str(int(x)) for x in row) for row in self.data)
+        body = ";".join("".join(map(str, row)) for row in self.tolist())
         return f"GF2Matrix({self.rows}x{self.cols}:{body})"
 
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        prod = (self.data.astype(np.int64) @ other.data.astype(np.int64)) & 1
-        return GF2Matrix(prod.astype(np.uint8))
+        columns = other.transpose()._bits
+        prod = [[(row & col).bit_count() & 1 for col in columns] for row in self._bits]
+        return GF2Matrix(prod, cols=other.cols)
 
-    def mul_vec(self, vec: Sequence[int]) -> np.ndarray:
-        v = np.asarray(vec, dtype=np.int64) & 1
-        if v.shape != (self.cols,):
+    def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
+        if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return ((self.data.astype(np.int64) @ v) & 1).astype(np.uint8)
+        v = _pack(vec)
+        return tuple((row & v).bit_count() & 1 for row in self._bits)
 
     def transpose(self) -> "GF2Matrix":
-        return GF2Matrix(self.data.T)
+        columns = [[row >> j & 1 for row in self._bits] for j in range(self.cols)]
+        return GF2Matrix(columns, cols=self.rows)
 
     def rank(self) -> int:
-        arr = self.data.copy()
-        return len(_row_reduce(arr))
+        return len(_row_reduce(list(self._bits), self.cols))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
 
-    def kernel_basis(self) -> tuple[np.ndarray, ...]:
+    def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
         """Basis of the right kernel, one vector per free column.
 
         Free columns are visited in ascending index order; each basis
         vector sets its free variable to one, all other free variables to
         zero, and back-substitutes the pivots.
         """
-        arr = self.data.copy()
-        pivots = _row_reduce(arr)
-        pivot_set = set(pivots)
-        basis: list[np.ndarray] = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            vec = np.zeros(self.cols, dtype=np.uint8)
+        reduced = list(self._bits)
+        pivots = _row_reduce(reduced, self.cols)
+        basis = []
+        for f in sorted(set(range(self.cols)).difference(pivots)):
+            vec = {p: row >> f & 1 for row, p in zip(reduced, pivots)}
             vec[f] = 1
-            for i, p in enumerate(pivots):
-                vec[p] = arr[i, f]
-            basis.append(vec)
+            basis.append(tuple(vec.get(j, 0) for j in range(self.cols)))
         return tuple(basis)
 
-    def solve(self, b: Sequence[int]) -> np.ndarray | None:
+    def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of ``A x = b`` or None.  Free variables are zero."""
-        rhs = (np.asarray(b, dtype=np.uint8) & 1).reshape(-1)
-        if rhs.shape != (self.rows,):
+        if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        aug = np.concatenate([self.data, rhs[:, None]], axis=1)
-        pivots = _row_reduce(aug)
-        if pivots and pivots[-1] == self.cols:
+        n = self.cols
+        aug = [row | (int(x) & 1) << n for row, x in zip(self._bits, b)]
+        pivots = _row_reduce(aug, n + 1)
+        if pivots and pivots[-1] == n:
             return None
-        x = np.zeros(self.cols, dtype=np.uint8)
-        for i, p in enumerate(pivots):
-            x[p] = aug[i, self.cols]
-        return x
+        x = {p: row >> n & 1 for row, p in zip(aug, pivots)}
+        return tuple(x.get(j, 0) for j in range(n))
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and np.array_equal(self.data, self.data.T)
+        return self.rows == self.cols and self == self.transpose()
 
     def has_zero_diagonal(self) -> bool:
-        return self.rows == self.cols and not np.any(np.diagonal(self.data))
+        diagonal = (row >> i & 1 for i, row in enumerate(self._bits))
+        return self.rows == self.cols and not any(diagonal)
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,8 @@ def critical_group(graph: MultiGraph, base: int = 0) -> CriticalGroup:
     concrete divisor (column of the inverse on the non-base vertices, base
     coefficient balancing to degree zero).
     """
+    if graph.vertex_count == 0:
+        raise ValueError("critical group of the empty graph: it has no vertices")
     if not graph.is_connected():
         raise ValueError("critical group needs a connected graph")
     n = graph.vertex_count
@@ -395,6 +397,8 @@ def verify_torsion_on_subdivision(
     """
     if mode not in ("all", "nonsep"):
         raise ValueError("mode must be 'all' or 'nonsep'")
+    if graph.vertex_count == 0:
+        raise ValueError("torsion check on the empty graph: it has no vertices")
     if not graph.is_connected():
         raise ValueError("torsion check needs a connected graph")
     which = None if mode == "all" else graph.non_separating_edges()

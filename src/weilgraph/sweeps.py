@@ -19,11 +19,11 @@ that it would actually catch a wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .cover import build_double_cover, lift_cycle, pairing_via_cover
+from .cover import build_double_cover, lift_cycle, lift_shape_ok, pairing_via_cover
 from .curvemodel import TwistedCurveModel
 from .graphs import MultiGraph
 from .homology import (
@@ -133,11 +133,9 @@ def all_simple_cycles(graph: MultiGraph) -> tuple[Chain1, ...]:
 
 def _is_coboundary(graph: MultiGraph, gamma: Cochain1) -> bool:
     # gamma lies in the image of the vertex-function coboundary map
-    inc = GF2Matrix.zeros(graph.edge_count, graph.vertex_count)
-    for e, (u, v) in enumerate(graph.edges):
-        if u != v:
-            inc.data[e, u] ^= 1
-            inc.data[e, v] ^= 1
+    n = graph.vertex_count
+    rows = [[int(u != v and w in (u, v)) for w in range(n)] for u, v in graph.edges]
+    inc = GF2Matrix(rows, cols=n)
     target = [1 if e in gamma.edges else 0 for e in range(graph.edge_count)]
     return inc.solve(target) is not None
 
@@ -181,17 +179,14 @@ def pairing_equivalence_sweep(max_edges: int = 6, inject_fault: bool = False) ->
                 )
             for alpha in cycles:
                 res.instances += 1
-                count, comps = lift_cycle(cover, alpha)
+                lift = lift_cycle(cover, alpha)
+                count, comps = lift
                 bit_cover = 1 if count == 1 else 0
                 if fault:
                     bit_cover ^= 1
                     fault = False
                 bit_algebraic = graph_pairing(gamma, alpha)
-                length = len(alpha.edges)
-                shape_ok = (count == 1 and len(comps[0]) == 2 * length) or (
-                    count == 2 and all(len(c) == length for c in comps)
-                )
-                if bit_cover != bit_algebraic or not shape_ok:
+                if bit_cover != bit_algebraic or not lift_shape_ok(lift, len(alpha.edges)):
                     res.record(
                         kind="pairing",
                         graph=graph.edges,
@@ -231,7 +226,9 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
                 res.instances += 1
                 form = model.weil_form()
                 if fault and form.total_dim > 0:
-                    form.gram.data[0, form.total_dim - 1] ^= 1
+                    flipped = form.gram.tolist()
+                    flipped[0][form.total_dim - 1] ^= 1
+                    form = replace(form, gram=GF2Matrix(flipped))
                     fault = False
                 order = model.two_torsion_order()
                 g = model.arithmetic_genus()
@@ -245,7 +242,7 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
                 if not form.is_alternating():
                     problems.append("alternating")
                 h, c = form.h_dim, form.component_dim
-                if form.gram.data[:h, : h + c].any():
+                if any(form.gram.entry(i, j) for i in range(h) for j in range(h + c)):
                     problems.append("h-isotropy")
                 if problems:
                     res.record(
@@ -262,7 +259,7 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
                 for i, gamma in enumerate(form.cocycles):
                     for j, alpha in enumerate(form.reduced_cycles):
                         res.instances += 1
-                        expected = int(form.gram.data[i, h + c + j])
+                        expected = form.gram.entry(i, h + c + j)
                         pieces = all_simple_pieces_pairing(graph, gamma, alpha)
                         if pieces != expected:
                             res.record(

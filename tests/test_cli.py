@@ -194,3 +194,19 @@ def test_stdin_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)["payload"]
     assert payload["genus"] == 2
+
+
+def test_verify_bad_r_factor(capsys):
+    assert main(["verify", "--max-edges", "1", "--r", "2,x"]) == 2
+    err = capsys.readouterr().err
+    assert "--r: 'x'" in err
+    assert "invalid literal" not in err
+
+
+def test_tropical_empty_graph(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"vertices": 0, "edges": []}')
+    assert main(["tropical", "--graph", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "empty graph" in err
+    assert "base vertex" not in err

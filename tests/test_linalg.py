@@ -10,7 +10,6 @@ import random
 from itertools import combinations, product
 from math import gcd, prod
 
-import numpy as np
 import pytest
 
 from weilgraph import GF2Matrix, IntMatrix, SmithForm, smith_normal_form
@@ -75,14 +74,37 @@ def test_gf2_symmetry_flags():
     assert not GF2Matrix([[0, 1], [0, 0]]).is_symmetric()
 
 
+def test_gf2_entries_and_empty_shapes():
+    a = GF2Matrix([[1, 0, 1], [0, 1, 1]])
+    assert a.tolist() == [[1, 0, 1], [0, 1, 1]]
+    assert [a.entry(0, j) for j in range(3)] == [1, 0, 1]
+    with pytest.raises(IndexError):
+        a.entry(0, 3)
+    assert a.transpose().tolist() == [[1, 0], [0, 1], [1, 1]]
+    wide = GF2Matrix([], cols=3)
+    assert (wide.rows, wide.cols) == (0, 3)
+    assert (wide.transpose().rows, wide.transpose().cols) == (3, 0)
+    assert wide.transpose().kernel_basis() == ()
+    assert wide.kernel_basis() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert GF2Matrix([[], []]).solve([1, 0]) is None
+    with pytest.raises(ValueError):
+        GF2Matrix([[1, 0], [1]])
+    with pytest.raises(ValueError):
+        GF2Matrix([[0, 0]], cols=3)
+    assert GF2Matrix([], cols=2) != GF2Matrix([], cols=3)
+
+
 def test_gf2_kernel_and_solve_against_enumeration():
     rng = random.Random(11)
     for _ in range(120):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 5)
-        a = GF2Matrix([[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)])
-        vectors = [np.array(v, dtype=np.uint8) for v in product((0, 1), repeat=cols)]
-        kernel = {tuple(v) for v in vectors if not a.mul_vec(v).any()}
+        rows = rng.randint(0, 4)
+        cols = rng.randint(0, 5)
+        a = GF2Matrix(
+            [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)], cols=cols
+        )
+        assert (a.rows, a.cols) == (rows, cols)
+        vectors = list(product((0, 1), repeat=cols))
+        kernel = {tuple(v) for v in vectors if not any(a.mul_vec(v))}
         assert len(kernel) == 2 ** (cols - a.rank())
         for k in a.kernel_basis():
             assert tuple(k) in kernel
