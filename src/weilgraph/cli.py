@@ -43,6 +43,13 @@ EXIT_COUNTEREXAMPLE = 4
 # budget independently of --max-edges.
 _MODEL_SWEEP_CAP = 5
 
+# Input ceilings, checked before any work starts; larger values are usage
+# errors.  The enumerator yields about 5.7 times more graphs per extra
+# edge (15629 with 7 edges), so the sweeps past 8 edges would not finish.
+# A subdivision factor r on m edges gives a Smith form of size about r * m.
+MAX_VERIFY_EDGES = 8
+MAX_SUBDIVIDED_EDGES = 400
+
 
 def _read_document(path: str) -> InputDocument:
     if path == "-":
@@ -215,9 +222,19 @@ def cmd_torsion(args) -> int:
     return EXIT_OK
 
 
+def _check_subdivision(r: int, edges: int) -> None:
+    if r < 1:
+        raise DocumentError(f"--r: subdivision factor {r} is not at least 1")
+    if r * edges > MAX_SUBDIVIDED_EDGES:
+        raise DocumentError(
+            f"--r {r} on {edges} edges: r x edges is over {MAX_SUBDIVIDED_EDGES}"
+        )
+
+
 def cmd_tropical(args) -> int:
     doc = _read_document(args.graph)
     graph = doc.graph()
+    _check_subdivision(args.r, graph.edge_count)
     report = verify_torsion_on_subdivision(graph, args.r, mode=args.mode)
 
     payload = {
@@ -251,9 +268,13 @@ def cmd_tropical(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0 <= args.max_edges <= MAX_VERIFY_EDGES:
+        raise DocumentError(
+            f"--max-edges: {args.max_edges} is not between 0 and {MAX_VERIFY_EDGES}"
+        )
     rs = tuple(_parse_ints(args.r, "--r", "an integer subdivision factor"))
-    if any(r < 1 for r in rs):
-        raise ValueError("subdivision factors must be at least 1")
+    for r in rs:
+        _check_subdivision(r, args.max_edges)
     params = {
         "max_edges": args.max_edges,
         "rs": list(rs),
@@ -342,7 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tropical", help="r-torsion on an r-subdivision")
     add_graph(p)
-    p.add_argument("--r", type=int, default=2, help="subdivision factor (default 2)")
+    p.add_argument(
+        "--r",
+        type=int,
+        default=2,
+        help=f"subdivision factor (default 2); r x edges at most {MAX_SUBDIVIDED_EDGES}",
+    )
     p.add_argument(
         "--mode",
         choices=("all", "nonsep"),
@@ -356,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-edges",
         type=int,
         default=4,
-        help="largest edge count to enumerate (default 4)",
+        help=f"largest edge count to enumerate (default 4, at most {MAX_VERIFY_EDGES})",
     )
     p.add_argument(
         "--r",

@@ -277,7 +277,8 @@ def decompose_cycles(alpha: Chain1) -> list[Chain1]:
                     step = e
                     break
             # even degrees guarantee a way out until the walk closes up
-            assert step is not None
+            if step is None:
+                raise RuntimeError(f"cycle walk stuck at vertex {here}")
             nxt = graph.edge_other_end(step, here)
             used.add(step)
             walk_edges.append(step)

@@ -7,12 +7,16 @@ zero, kernel vectors follow ascending free columns).  ``IntMatrix`` and
 ``smith_normal_form`` work over native Python ints, because spanning-tree
 counts overflow fixed-width integers quickly; the Smith form carries
 unimodular transforms on both sides plus the inverse of the left one,
-which the critical-group generator construction consumes.
+which the critical-group generators and the principal shift of burning
+consume.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
+from operator import mul
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -159,7 +163,12 @@ class GF2Matrix:
 
 
 class IntMatrix:
-    """Dense integer matrix over native Python ints."""
+    """Dense integer matrix over native Python ints.
+
+    The constructor validates and converts its input; matrices built inside
+    the package from rows already known to be equal-length int tuples go
+    through ``_of`` instead.
+    """
 
     __slots__ = ("entries", "_cols")
 
@@ -177,12 +186,20 @@ class IntMatrix:
         self.entries = rows
 
     @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """A matrix on trusted rows: a tuple of int tuples, each ``cols`` long."""
+        mat = object.__new__(cls)
+        mat.entries = rows
+        mat._cols = cols
+        return mat
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(((int(i == j) for j in range(n)) for i in range(n)), cols=n)
+        return cls._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(((0,) * cols for _ in range(rows)), cols=cols)
+        return cls._of(((0,) * cols,) * rows, cols)
 
     @property
     def rows(self) -> int:
@@ -208,16 +225,14 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = list(zip(*other.entries)) if other.entries else [()] * other.cols
-        out = []
-        for row in self.entries:
-            out.append(tuple(sum(a * b for a, b in zip(row, col)) for col in ot))
-        return IntMatrix(out, cols=other.cols)
+        ot = other.transpose().entries
+        out = tuple(tuple(sum(map(mul, row, col)) for col in ot) for row in self.entries)
+        return IntMatrix._of(out, other.cols)
 
     def transpose(self) -> "IntMatrix":
         if self.entries:
-            return IntMatrix(zip(*self.entries), cols=self.rows)
-        return IntMatrix(((),) * self._cols, cols=0)
+            return IntMatrix._of(tuple(zip(*self.entries)), self.rows)
+        return IntMatrix._of(((),) * self._cols, 0)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
@@ -269,9 +284,9 @@ class SmithForm:
     def diagonal_matrix(self) -> IntMatrix:
         r, c = self.matrix.rows, self.matrix.cols
         d = self.diagonal
-        return IntMatrix(
-            ((d[i] if i == j and i < len(d) else 0 for j in range(c)) for i in range(r)),
-            cols=c,
+        return IntMatrix._of(
+            tuple(tuple(d[i] if i == j < len(d) else 0 for j in range(c)) for i in range(r)),
+            c,
         )
 
     def verify(self) -> bool:
@@ -292,113 +307,230 @@ class SmithForm:
         return True
 
 
+def _axpy(dst: dict[int, int], src: dict[int, int], c: int) -> None:
+    """Sparse ``dst += c * src``, dropping entries that cancel."""
+    if not c:
+        return
+    for k, x in src.items():
+        y = dst.get(k, 0) + c * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
+def _combine(rows: list[dict[int, int]], i: int, j: int, x: int, y: int, z: int, w: int) -> None:
+    """Sparse rows ``i, j`` become ``x*ri + y*rj`` and ``z*ri + w*rj``."""
+    if (x, z, w) == (1, 0, 1):
+        _axpy(rows[i], rows[j], y)
+    elif (x, y, w) == (1, 0, 1):
+        _axpy(rows[j], rows[i], z)
+    else:
+        ri, rj = rows[i], rows[j]
+        rows[i], rows[j] = {}, {}
+        for k in ri.keys() | rj.keys():
+            p, q = ri.get(k, 0), rj.get(k, 0)
+            if x * p + y * q:
+                rows[i][k] = x * p + y * q
+            if z * p + w * q:
+                rows[j][k] = z * p + w * q
+
+
+def _dense(row: dict[int, int], n: int) -> tuple[int, ...]:
+    out = [0] * n
+    for k, x in row.items():
+        out[k] = x
+    return tuple(out)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """``(g, x, y)`` with ``x * a + y * b == g == gcd(a, b) >= 0``."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _hermite(m: list[list[int]], ids: list[int], track) -> None:
+    """Row Hermite form of the dense rows ``m``, by unimodular row operations.
+
+    Rows enter one at a time and are combined into the echelon rows above
+    them by gcd steps; after each entry, every echelon row is reduced
+    modulo the pivots below it.  That keeps the entries bounded by the
+    pivots (Kannan and Bachem, SIAM J. Comput. 8, 1979), where eliminating
+    column by column lets them grow exponentially.  Each operation sets
+    rows ``i, j`` to ``x*mi + y*mj, z*mi + w*mj`` with ``xw - yz = 1`` and
+    is passed on as ``track(ids[i], ids[j], x, y, z, w)``; moving a row of
+    ``m`` moves its entry of ``ids``.
+    """
+
+    def op(i, j, x, y, z, w):
+        mi, mj = m[i], m[j]
+        m[i] = [x * p + y * q for p, q in zip(mi, mj)]
+        m[j] = [z * p + w * q for p, q in zip(mi, mj)]
+        track(ids[i], ids[j], x, y, z, w)
+
+    piv: list[int] = []  # pivot column of each echelon row, increasing
+    for i in range(len(m)):
+        e = len(piv)
+        m[e], m[i] = m[i], m[e]
+        ids[e], ids[i] = ids[i], ids[e]
+        while True:
+            c = next((c for c, x in enumerate(m[e]) if x), None)
+            if c is None:
+                break
+            k = bisect_left(piv, c)
+            if k == e or piv[k] != c:
+                m.insert(k, m.pop(e))
+                ids.insert(k, ids.pop(e))
+                piv.insert(k, c)
+                break
+            p, b = m[k][c], m[e][c]
+            if b % p == 0:
+                op(e, k, 1, -(b // p), 0, 1)
+            else:
+                g, x, y = _xgcd(p, b)
+                op(k, e, x, y, -b // g, p // g)
+        for k, c in enumerate(piv):
+            p = m[k][c]
+            for k2 in range(k):
+                q = m[k2][c] // p
+                if q:
+                    op(k2, k, 1, -q, 0, 1)
+
+
 def smith_normal_form(mat: IntMatrix) -> SmithForm:
     """Smith normal form with unimodular transforms on both sides.
 
-    Pivoting always grabs the smallest nonzero magnitude in the remaining
-    submatrix, which keeps intermediate entries tame for the Laplacians this
-    package feeds it.  Output is deterministic for a given input.
+    Two phases.  The first eliminates on ±1 pivots over sparse rows, each
+    chosen by least Markowitz cost ``(row nnz - 1) * (column nnz - 1)``,
+    ties to the lowest row then column (Dumas, Saunders and Villard, J.
+    Symbolic Comput. 32, 2001).  A unit pivot clears its row and column in
+    one pass and divides everything, so it settles a diagonal 1 at once;
+    on the Laplacians this package feeds it, every subdivision vertex
+    brings such pivots, and what is left is about genus size.  The second
+    phase brings that dense remainder to a diagonal by alternating row and
+    column Hermite forms, then makes each diagonal entry divide the next
+    by gcd steps on pairs.
+
+    ``left`` and the transposes of ``left_inverse`` and ``right`` are kept
+    as sparse rows, so every tracked operation is a row operation; row
+    and column swaps only reorder the final positions.  Output is
+    deterministic for a given input.
     """
     R, C = mat.rows, mat.cols
-    a = [list(row) for row in mat.entries]
-    u = [[int(i == j) for j in range(R)] for i in range(R)]
-    uinv = [[int(i == j) for j in range(R)] for i in range(R)]
-    v = [[int(i == j) for j in range(C)] for i in range(C)]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in mat.entries]
+    cols: list[set[int]] = [set() for _ in range(C)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    u = [{i: 1} for i in range(R)]  # rows of left
+    uinv_t = [{i: 1} for i in range(R)]  # rows of left_inverse's transpose
+    v_t = [{j: 1} for j in range(C)]  # rows of right's transpose
 
-    def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(R):
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
+    def row_track(i, j, x, y, z, w):
+        # rows i, j of the matrix combine as given: so do those of left,
+        # and left_inverse's columns i, j undo it by the inverse-transpose
+        _combine(u, i, j, x, y, z, w)
+        _combine(uinv_t, i, j, w, -z, -y, x)
 
-    def row_add(i: int, j: int, c: int) -> None:
-        # row i += c * row j; the inverse transform takes column j -= c * column i
-        ai, aj = a[i], a[j]
-        for k in range(C):
-            ai[k] += c * aj[k]
-        ui, uj = u[i], u[j]
-        for k in range(R):
-            ui[k] += c * uj[k]
-        for r in range(R):
-            uinv[r][j] -= c * uinv[r][i]
+    col_track = partial(_combine, v_t)
 
-    def row_negate(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        for r in range(R):
-            uinv[r][i] = -uinv[r][i]
+    def negate_row(i):
+        u[i] = {k: -x for k, x in u[i].items()}
+        uinv_t[i] = {k: -x for k, x in uinv_t[i].items()}
 
-    def col_swap(i: int, j: int) -> None:
-        for r in range(R):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(C):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def col_add(j: int, i: int, c: int) -> None:
-        # column j += c * column i
-        for r in range(R):
-            a[r][j] += c * a[r][i]
-        for r in range(C):
-            v[r][j] += c * v[r][i]
-
-    t = 0
-    limit = min(R, C)
-    while t < limit:
-        # smallest nonzero magnitude in the remaining submatrix becomes the pivot
+    # phase one: unit pivots
+    row_order: list[int] = []
+    col_order: list[int] = []
+    active = list(range(R))
+    while True:
         best = None
-        for i in range(t, R):
-            for j in range(t, C):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
+        for i in active:
+            row = rows[i]
+            rest = len(row) - 1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    key = (rest * (len(cols[j]) - 1), i, j)
+                    if best is None or key < best:
+                        best = key
+            if best is not None and best[0] == 0:
+                break
         if best is None:
             break
-        _, bi, bj = best
-        if bi != t:
-            row_swap(t, bi)
-        if bj != t:
-            col_swap(t, bj)
+        _, p, q = best
+        prow = rows[p]
+        s = prow[q]
+        for i in [i for i in cols[q] if i != p]:
+            c = -rows[i][q] * s
+            row = rows[i]
+            for j, x in prow.items():
+                y = row.get(j, 0) + c * x
+                if y:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            row_track(i, p, 1, c, 0, 1)
+        # column q is now zero off the pivot, so clearing row p by column
+        # operations changes nothing else in the matrix
+        for j, x in prow.items():
+            if j != q:
+                col_track(j, q, 1, -x * s, 0, 1)
+                cols[j].discard(p)
+        if s < 0:
+            negate_row(p)
+        rows[p] = {q: 1}
+        active.remove(p)
+        row_order.append(p)
+        col_order.append(q)
 
-        while True:
-            for i in range(t + 1, R):
-                while a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_add(i, t, -q)
-                    if a[i][t]:
-                        row_swap(i, t)
-            for j in range(t + 1, C):
-                while a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
-                    if a[t][j]:
-                        col_swap(j, t)
-            # column swaps can drop fresh entries into column t below the pivot
-            if all(a[i][t] == 0 for i in range(t + 1, R)):
-                break
+    # phase two: the dense remainder
+    rr = active
+    rc = sorted(set(range(C)).difference(col_order))
+    a = [[rows[i].get(j, 0) for j in rc] for i in rr]
 
-        # the pivot must divide the whole remaining submatrix before moving on
-        offender = None
-        p = a[t][t]
-        for i in range(t + 1, R):
-            for j in range(t + 1, C):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_add(t, offender, 1)
-            continue
-        t += 1
+    def is_diagonal():
+        return all(not x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
 
-    for i in range(limit):
-        if a[i][i] < 0:
-            row_negate(i)
+    _hermite(a, rr, row_track)
+    while not is_diagonal():
+        at = [list(col) for col in zip(*a)]
+        _hermite(at, rc, col_track)
+        a = [list(row) for row in zip(*at)]
+        if not is_diagonal():
+            _hermite(a, rr, row_track)
 
+    diag = [abs(a[t][t]) for t in range(min(len(rr), len(rc)))]
+    for t in range(len(diag)):
+        if a[t][t] < 0:
+            negate_row(rr[t])
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            p, b = diag[i], diag[j]
+            if (b % p if p else b) == 0:
+                continue
+            # [[p, 0], [0, b]] -> [[g, 0], [0, p*b/g]]: add column j to
+            # column i, a gcd step on the rows, then clear column j
+            g, x, y = _xgcd(p, b)
+            col_track(rc[i], rc[j], 1, 1, 0, 1)
+            row_track(rr[i], rr[j], x, y, -b // g, p // g)
+            col_track(rc[j], rc[i], 1, -(y * b // g), 0, 1)
+            diag[i], diag[j] = g, p * b // g
+
+    row_order += rr
+    col_order += rc
+    uinv_cols = [_dense(uinv_t[i], R) for i in row_order]
+    v_cols = [_dense(v_t[j], C) for j in col_order]
     return SmithForm(
         matrix=mat,
-        diagonal=tuple(a[i][i] for i in range(limit)),
-        left=IntMatrix(u, cols=R),
-        right=IntMatrix(v, cols=C),
-        left_inverse=IntMatrix(uinv, cols=R),
+        diagonal=(1,) * (C - len(rc)) + tuple(diag),
+        left=IntMatrix._of(tuple(_dense(u[i], R) for i in row_order), R),
+        right=IntMatrix._of(tuple(zip(*v_cols)) if v_cols else (), C),
+        left_inverse=IntMatrix._of(tuple(zip(*uinv_cols)) if uinv_cols else (), R),
     )

@@ -11,8 +11,11 @@ invariant factor.
 A divisor equivalence check rides on Dhar's burning algorithm: every class
 has a unique base-reduced representative, found by making the divisor
 effective away from the base and then repeatedly firing what the fire from
-the base fails to burn.  This route never touches the Smith form, so the
-two can be played against each other in tests.
+the base fails to burn.  Burning reads the cached Smith form only to pick
+a principal shift for divisors with large entries, and any integer firing
+vector keeps the divisor class: a wrong Smith form could slow burning
+down but could not change its answer.  So the two routes can still be
+played against each other in tests.
 
 The subdivision check at the bottom is the reason this module exists: on
 the r-subdivision of a graph, the r-torsion of the critical group has
@@ -24,9 +27,9 @@ wrong, which ``verify_torsion_on_subdivision`` makes observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
+from operator import mul
 
 from .graphs import MultiGraph, SubdivisionMap
 from .linalg import IntMatrix, smith_normal_form
@@ -90,26 +93,36 @@ class Divisor:
 
 def laplacian(graph: MultiGraph) -> IntMatrix:
     """Graph Laplacian; loops contribute zero."""
-    n = graph.vertex_count
-    entries = [[0] * n for _ in range(n)]
-    for u, v in graph.edges:
-        if u == v:
-            continue
-        entries[u][u] += 1
-        entries[v][v] += 1
-        entries[u][v] -= 1
-        entries[v][u] -= 1
-    return IntMatrix(entries, cols=n)
+    return _laplacian_rows(graph, graph.vertex_count)
 
 
 def reduced_laplacian(graph: MultiGraph, base: int) -> IntMatrix:
     """The Laplacian with the base row and column deleted."""
-    n = graph.vertex_count
-    if not (0 <= base < n):
+    if not (0 <= base < graph.vertex_count):
         raise ValueError("base vertex out of range")
-    full = laplacian(graph).entries
-    keep = [v for v in range(n) if v != base]
-    return IntMatrix(((full[i][j] for j in keep) for i in keep), cols=n - 1)
+    return _laplacian_rows(graph, base)
+
+
+def _laplacian_rows(graph: MultiGraph, base: int) -> IntMatrix:
+    # the Laplacian without vertex `base`; base == vertex_count keeps all
+    n = graph.vertex_count
+    k = n - (base < n)
+    index = [v - (v > base) for v in range(n)]
+    entries = [[0] * k for _ in range(k)]
+    for u, v in graph.edges:
+        if u == v:
+            continue
+        if u != base:
+            i = index[u]
+            entries[i][i] += 1
+            if v != base:
+                entries[i][index[v]] -= 1
+        if v != base:
+            j = index[v]
+            entries[j][j] += 1
+            if u != base:
+                entries[j][index[u]] -= 1
+    return IntMatrix._of(tuple(map(tuple, entries)), k)
 
 
 def spanning_tree_count(graph: MultiGraph) -> int:
@@ -159,41 +172,40 @@ def _reduced_smith(graph: MultiGraph, base: int):
     return smith_normal_form(reduced_laplacian(graph, base))
 
 
-# Chip counts above this many times the vertex count trigger the rational
-# preconditioner in dhar_reduce; below it, plain burning is already fast.
+# Chip counts above this many times the vertex count trigger the principal
+# shift in dhar_reduce; below it, plain burning is already fast.
 _SHIFT_THRESHOLD = 8
 
 
 def _principal_shift(graph: MultiGraph, base: int, d: list[int]) -> list[int]:
     """Shift ``d`` by a principal divisor so its entries become small.
 
-    Solves the reduced Laplacian system exactly (through the cached Smith
-    form, with Fraction division on the diagonal), rounds the solution to
-    the nearest integer firing vector and applies that firing.  The result
-    is L(x - round(x)) away from zero off the base, so every entry is
-    bounded by the largest non-loop degree regardless of where ``d``
-    started.  Only the choice of representative changes; any integer
-    firing vector would leave the class alone.
+    Solves the reduced Laplacian system ``L x = d`` exactly through the
+    cached Smith form, in integers over the common denominator: with ``D``
+    the last invariant factor, ``x * D = V (D / d_i) (U d)_i``.  It rounds
+    the solution to the nearest integer firing vector and applies that
+    firing.  The result is ``L (x - round(x))`` away from the base, so
+    every entry there is bounded by the vertex's non-loop degree wherever
+    ``d`` started.  Only the choice of representative changes: any integer
+    firing vector, even one from a wrong Smith form, leaves the class
+    alone.
     """
-    n = graph.vertex_count
     snf = _reduced_smith(graph, base)
-    verts = [v for v in range(n) if v != base]
-    rhs = [d[v] for v in verts]
-    k = len(verts)
-    # exact solution x = V diag(1/d_i) U rhs
-    y = [sum(snf.left.entries[i][j] * rhs[j] for j in range(k)) for i in range(k)]
-    z = [Fraction(y[i], snf.diagonal[i]) for i in range(k)]
-    x = [sum(snf.right.entries[i][j] * z[j] for j in range(k)) for i in range(k)]
-    fire = {v: round(val) for v, val in zip(verts, x)}
+    rhs = [c for v, c in enumerate(d) if v != base]
+    big = snf.diagonal[-1]
+    y = [
+        sum(map(mul, row, rhs)) * (big // dgn)
+        for row, dgn in zip(snf.left.entries, snf.diagonal)
+    ]
+    fire = [(2 * sum(map(mul, row, y)) + big) // (2 * big) for row in snf.right.entries]
+    fire.insert(base, 0)
 
     neigh = _neighbor_lists(graph)
     out = list(d)
-    for v in range(n):
-        xv = fire.get(v, 0)
-        degree_nl = sum(mult for _, mult in neigh[v])
-        out[v] -= degree_nl * xv
-        for w, mult in neigh[v]:
-            out[v] += mult * fire.get(w, 0)
+    for v, nb in enumerate(neigh):
+        xv = fire[v]
+        for w, mult in nb:
+            out[v] += mult * (fire[w] - xv)
     return out
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from weilgraph import InputDocument, Report
-from weilgraph.cli import main
+from weilgraph.cli import MAX_SUBDIVIDED_EDGES, MAX_VERIFY_EDGES, main
 
 THETA = '{"vertices": 2, "edges": [[0, 1], [0, 1], [0, 1]]}'
 THETA_MODEL = (
@@ -175,7 +175,8 @@ def test_alpha_not_simple(theta_file, capsys):
 
 
 def test_tropical_bad_r(theta_file, capsys):
-    assert main(["tropical", "--graph", theta_file, "--r", "0"]) == 3
+    assert main(["tropical", "--graph", theta_file, "--r", "0"]) == 2
+    assert "--r" in capsys.readouterr().err
 
 
 def test_missing_subcommand():
@@ -210,3 +211,32 @@ def test_tropical_empty_graph(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "empty graph" in err
     assert "base vertex" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-edges", "-1"],
+        ["verify", "--max-edges", str(MAX_VERIFY_EDGES + 1)],
+        ["verify", "--max-edges", "1000000"],
+        ["verify", "--max-edges", "1", "--r", "0"],
+        ["verify", "--max-edges", "1", "--r", "2,-3"],
+        ["verify", "--max-edges", "4", "--r", str(MAX_SUBDIVIDED_EDGES // 4 + 1)],
+    ],
+)
+def test_verify_usage_errors(argv, capsys):
+    # bad or oversized options are usage errors, rejected before any sweep
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --")
+
+
+def test_tropical_subdivision_ceiling(theta_file, capsys):
+    # theta has 3 edges: r x 3 may reach the ceiling but not pass it
+    top = MAX_SUBDIVIDED_EDGES // 3
+    assert main(["tropical", "--graph", theta_file, "--r", str(top + 1)]) == 2
+    assert "r x edges" in capsys.readouterr().err
+    assert main(["tropical", "--graph", theta_file, "--r", str(10**100)]) == 2
+    assert main(["tropical", "--graph", theta_file, "--r", str(top), "--json"]) == 0
+    payload = Report.from_json(capsys.readouterr().out.strip()).payload
+    assert payload["torsion_count"] == top**2 == payload["expected"]

@@ -218,3 +218,22 @@ def test_smith_random_property_sweep():
             for m in minors:
                 g = gcd(g, m)
             assert prod(snf.diagonal[:k]) == g
+
+
+def test_smith_against_sympy_on_random_matrices():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(41)
+    for _ in range(300):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        bound = rng.choice((1, 3, 9, 40))
+        density = rng.random()
+        rows = [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(c)]
+            for _ in range(r)
+        ]
+        snf = smith_normal_form(IntMatrix(rows))
+        oracle = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert snf.diagonal == tuple(abs(int(oracle[i, i])) for i in range(min(r, c)))
+        assert snf.verify()

@@ -1,11 +1,13 @@
 """Chip firing: reduced divisors, critical groups, torsion on subdivisions."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from weilgraph import (
     Divisor,
+    InputDocument,
     IntMatrix,
     MultiGraph,
     bouquet_graph,
@@ -17,10 +19,12 @@ from weilgraph import (
     laplacian,
     path_graph,
     reduced_laplacian,
+    smith_normal_form,
     spanning_tree_count,
     theta_graph,
     verify_torsion_on_subdivision,
 )
+from weilgraph import sandpile
 from weilgraph.sandpile import _principal_shift
 
 K4 = MultiGraph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
@@ -256,3 +260,82 @@ def test_principal_shift_preserves_class():
         for v in range(n):
             if v != base:
                 assert abs(shifted[v]) <= g.degree(v)
+
+
+def test_burning_survives_a_corrupted_smith_form(monkeypatch):
+    # the shift reads the cached Smith form, but any integer firing keeps
+    # the class: garbage transforms may slow burning, never change it
+    rng = random.Random(31)
+    cases = []
+    for _ in range(40):
+        g = _random_connected(rng)
+        n = g.vertex_count
+        coeffs = tuple(rng.randint(-1000, 1000) for _ in range(n))
+        base = rng.randrange(n)
+        cases.append((g, Divisor(g, coeffs), base))
+    clean = [dhar_reduce(g, d, base) for g, d, base in cases]
+    clean_shifts = [_principal_shift(g, base, list(d.coefficients)) for g, d, base in cases]
+
+    def noise(mat):
+        return IntMatrix([[x + rng.randint(-3, 3) for x in row] for row in mat.entries])
+
+    honest = sandpile._reduced_smith
+
+    def corrupted(g, base):
+        snf = honest(g, base)
+        return replace(snf, left=noise(snf.left), right=noise(snf.right))
+
+    monkeypatch.setattr(sandpile, "_reduced_smith", corrupted)
+    shifts = [_principal_shift(g, base, list(d.coefficients)) for g, d, base in cases]
+    assert shifts != clean_shifts
+    assert [dhar_reduce(g, d, base) for g, d, base in cases] == clean
+
+
+def _random_multigraph(rng, edges):
+    while True:
+        n = rng.randint(2, edges)
+        g = MultiGraph(
+            n, tuple(tuple(sorted((rng.randrange(n), rng.randrange(n)))) for _ in range(edges))
+        )
+        if g.is_connected():
+            return g
+
+
+def test_smith_against_sympy_on_subdivided_laplacians():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    # r stays at 2 or 3: sympy's own Smith form can take minutes at r = 4
+    # (89 s for one 57 x 57 reduced Laplacian on a 2-core machine, where
+    # smith_normal_form and verify took 0.04 s)
+    rng = random.Random(37)
+    for _ in range(25):
+        g = _random_multigraph(rng, rng.randint(8, 20))
+        child = g.subdivide(rng.randint(2, 3)).child
+        lap = reduced_laplacian(child, rng.randrange(child.vertex_count))
+        snf = smith_normal_form(lap)
+        oracle = sympy_snf(sympy.Matrix(lap.entries), domain=sympy.ZZ)
+        assert snf.diagonal == tuple(abs(int(oracle[i, i])) for i in range(lap.rows))
+        assert snf.verify()
+
+
+# Forty edges at r = 4: the 132 x 132 reduced Laplacian whose Smith form
+# once grew transform entries of over 380000 bits and took about 19 s.
+FORTY_EDGES = (
+    '{"vertices": 13, "edges": [[8, 8], [10, 10], [3, 10], [9, 9], [1, 5],'
+    ' [1, 11], [0, 1], [6, 2], [3, 12], [2, 3], [1, 2], [4, 0], [3, 4], [5, 9],'
+    ' [0, 6], [5, 5], [0, 1], [11, 3], [1, 8], [9, 12], [4, 1], [7, 7], [3, 9],'
+    ' [2, 3], [6, 6], [3, 12], [9, 7], [1, 8], [6, 6], [1, 5], [12, 5], [6, 7],'
+    ' [2, 5], [9, 11], [5, 8], [3, 7], [1, 5], [3, 4], [3, 9], [2, 5]]}'
+)
+
+
+def test_forty_edge_subdivision_keeps_transforms_small():
+    g = InputDocument.parse(FORTY_EDGES).graph()
+    rep = verify_torsion_on_subdivision(g, 4)
+    assert rep.verdict and rep.torsion_count == 4 ** g.genus() == 4 ** 28
+    snf = smith_normal_form(reduced_laplacian(rep.subdivision.child, 0))
+    assert snf.matrix.rows == 132
+    assert snf.verify()
+    for mat in (snf.left, snf.right, snf.left_inverse):
+        assert max(abs(x).bit_length() for row in mat.entries for x in row) <= 65536
