@@ -47,8 +47,11 @@ _MODEL_SWEEP_CAP = 5
 # errors.  The enumerator yields about 5.7 times more graphs per extra
 # edge (15629 with 7 edges), so the sweeps past 8 edges would not finish.
 # A subdivision factor r on m edges gives a Smith form of size about r * m.
+# The Weil form of a model with graph genus h and vertex genera g_v has
+# dimension at most 2 h + 2 sum(g_v), and its report holds the whole Gram.
 MAX_VERIFY_EDGES = 8
 MAX_SUBDIVIDED_EDGES = 400
+MAX_FORM_DIMENSION = 1000
 
 
 def _read_document(path: str) -> InputDocument:
@@ -191,6 +194,11 @@ def cmd_cover(args) -> int:
 def cmd_torsion(args) -> int:
     doc = _read_document(args.graph)
     model = doc.model()
+    bound = 2 * model.graph_genus() + 2 * sum(model.vertex_genus)
+    if bound > MAX_FORM_DIMENSION:
+        raise DocumentError(
+            f"2 x genus + 2 x sum of genera is {bound}, over {MAX_FORM_DIMENSION}"
+        )
     form = model.weil_form()
 
     payload = {
@@ -357,7 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_cover)
 
-    p = sub.add_parser("torsion", help="two-torsion order and Weil form")
+    p = sub.add_parser(
+        "torsion",
+        help="two-torsion order and Weil form"
+        f" (2 x genus + 2 x sum of genera at most {MAX_FORM_DIMENSION})",
+    )
     add_graph(p)
     p.set_defaults(func=cmd_torsion)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import MultiGraph
-from .homology import Chain1, Cochain1, graph_pairing, is_simple_cycle
+from .homology import Chain1, Cochain1, is_simple_cycle
 
 __all__ = [
     "DoubleCover",
@@ -84,7 +84,7 @@ def build_double_cover(base: MultiGraph, gamma: Cochain1) -> DoubleCover:
         else:
             lifted.append((u, v))
             lifted.append((u + n, v + n))
-    total = MultiGraph(2 * n, tuple(lifted))
+    total = MultiGraph._of(2 * n, tuple(lifted))
     return DoubleCover(base=base, classifying=gamma, total=total)
 
 
@@ -100,36 +100,14 @@ def lift_cycle(cover: DoubleCover, alpha: Chain1) -> tuple[int, tuple[frozenset,
         raise ValueError("cycle lives on a different graph")
     if not is_simple_cycle(alpha):
         raise ValueError("lift needs a single simple cycle")
-    preimage = [k for e in sorted(alpha.edges) for k in (2 * e, 2 * e + 1)]
-    total = cover.total
-    # component split of the preimage subgraph, walking only preimage edges
-    adjacency: dict[int, list[int]] = {}
-    for k in preimage:
-        u, v = total.edges[k]
-        adjacency.setdefault(u, []).append(k)
-        if v != u:
-            adjacency.setdefault(v, []).append(k)
-    unvisited = set(preimage)
-    components: list[frozenset] = []
-    while unvisited:
-        seed = min(unvisited)
-        comp = {seed}
-        unvisited.remove(seed)
-        stack = list(total.edges[seed])
-        seen_vertices = set(stack)
-        while stack:
-            x = stack.pop()
-            for k in adjacency.get(x, ()):
-                if k in unvisited:
-                    unvisited.remove(k)
-                    comp.add(k)
-                y = total.edge_other_end(k, x)
-                if y not in seen_vertices:
-                    seen_vertices.add(y)
-                    stack.append(y)
-        components.append(frozenset(comp))
-    components.sort(key=min)
-    return len(components), tuple(components)
+    return _lift_cycle(cover, alpha.edges)
+
+
+def _lift_cycle(cover: DoubleCover, edges: frozenset) -> tuple[int, tuple[frozenset, ...]]:
+    """``lift_cycle`` without its checks: ``edges`` must be the support of a
+    simple cycle of the base."""
+    components = cover.total.edge_components(k for e in edges for k in (2 * e, 2 * e + 1))
+    return len(components), components
 
 
 def pairing_via_cover(base: MultiGraph, gamma: Cochain1, alpha: Chain1) -> int:

@@ -18,15 +18,24 @@ the theory leaves undetermined (q with q, component with q) are set to
 zero; that choice is a documented representative and nothing downstream
 reads those blocks.  The form is non-degenerate exactly when every
 non-separating edge has even stabilizer order.
+
+Per graph and per set of even edges, not per model: the reduced graph, its
+kept-edge map, its cycle basis pushed into the parent graph and the h x q
+pairing bits depend on nothing else.  ``_reduced_blocks`` computes them
+once per ``(graph, even_edges)`` key in a bounded ``lru_cache``, and
+``reduced_graph``, ``reduced_genus``, ``two_torsion_order`` and
+``weil_form`` all read them from there.  Per model there remains only the
+genus bookkeeping and the assembly of the Gram rows around those blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from .graphs import EdgeSubset, MultiGraph
-from .homology import Chain1, Cochain1, graph_pairing, homology_basis
+from .homology import Chain1, Cochain1, _parity, homology_basis
 from .linalg import GF2Matrix
 
 __all__ = [
@@ -35,6 +44,34 @@ __all__ = [
     "WeilFormModel",
     "coarse_pairing",
 ]
+
+
+class _ReducedBlocks(NamedTuple):
+    """What a model's torsion and Weil form read from its reduced graph."""
+
+    reduced: MultiGraph
+    kept: tuple[int, ...]
+    pushed: tuple[Chain1, ...]  # reduced cycle basis, in parent edge indices
+    pairing: tuple[int, ...]  # row i, bit j: cocycle i paired with pushed j
+    transposed: tuple[int, ...]  # row j, bit i: the same bit
+
+
+@lru_cache(maxsize=256)
+def _reduced_blocks(graph: MultiGraph, even_edges: EdgeSubset) -> _ReducedBlocks:
+    odd = frozenset(range(graph.edge_count)) - even_edges
+    reduced, kept = graph.delete_edges(odd)
+    pushed = tuple(
+        Chain1(graph, frozenset(kept[j] for j in c.edges))
+        for c in homology_basis(reduced).cycles
+    )
+    pairing = tuple(
+        sum(_parity(gamma.edges, alpha.edges) << j for j, alpha in enumerate(pushed))
+        for gamma in homology_basis(graph).cocycles
+    )
+    transposed = tuple(
+        sum((bits >> j & 1) << i for i, bits in enumerate(pairing)) for j in range(len(pushed))
+    )
+    return _ReducedBlocks(reduced, kept, pushed, pairing, transposed)
 
 
 @dataclass(frozen=True)
@@ -71,14 +108,16 @@ class TwistedCurveModel:
     def even_edges(self) -> EdgeSubset:
         return frozenset(e for e, s in enumerate(self.edge_order) if s % 2 == 0)
 
+    def _blocks(self) -> _ReducedBlocks:
+        return _reduced_blocks(self.graph, self.even_edges())
+
     def reduced_graph(self) -> tuple[MultiGraph, tuple[int, ...]]:
         """Drop the odd-order edges.  Returns the child and the kept map."""
-        odd = frozenset(range(self.graph.edge_count)) - self.even_edges()
-        return self.graph.delete_edges(odd)
+        blocks = self._blocks()
+        return blocks.reduced, blocks.kept
 
     def reduced_genus(self) -> int:
-        reduced, _ = self.reduced_graph()
-        return reduced.genus()
+        return len(self._blocks().pushed)
 
     def two_torsion_order(self) -> int:
         """Size of the 2-torsion of the Picard group.
@@ -104,37 +143,28 @@ class TwistedCurveModel:
         h x q corner is the graph pairing of the cohomology basis against
         the reduced graph's cycle basis pushed into the parent graph.
         """
-        basis = homology_basis(self.graph)
-        cocycles = basis.cocycles
-        h_dim = len(cocycles)
-        reduced, kept = self.reduced_graph()
-        pushed = tuple(
-            Chain1(self.graph, frozenset(kept[j] for j in c.edges))
-            for c in homology_basis(reduced).cycles
-        )
-        q_dim = len(pushed)
+        blocks = self._blocks()
+        pairing = blocks.pairing
+        h_dim = len(pairing)
+        q_dim = len(blocks.pushed)
         comp_dim = 2 * sum(self.vertex_genus)
-        total = h_dim + comp_dim + q_dim
-        rows = [[0] * total for _ in range(total)]
-        for i, gamma in enumerate(cocycles):
-            for j, alpha in enumerate(pushed):
-                bit = graph_pairing(gamma, alpha)
-                rows[i][h_dim + comp_dim + j] = bit
-                rows[h_dim + comp_dim + j][i] = bit
+        q_off = h_dim + comp_dim
+        rows = [bits << q_off for bits in pairing]
         off = h_dim
         for gv in self.vertex_genus:
-            for k in range(gv):
-                rows[off + k][off + gv + k] = 1
-                rows[off + gv + k][off + k] = 1
+            # one symplectic block: row k pairs with row gv + k
+            rows += [1 << (off + gv + k) for k in range(gv)]
+            rows += [1 << (off + k) for k in range(gv)]
             off += 2 * gv
+        rows += blocks.transposed
         return WeilFormModel(
             model=self,
-            gram=GF2Matrix(rows, cols=total),
+            gram=GF2Matrix._of(rows, q_off + q_dim),
             h_dim=h_dim,
             component_dim=comp_dim,
             q_dim=q_dim,
-            cocycles=cocycles,
-            reduced_cycles=pushed,
+            cocycles=homology_basis(self.graph).cocycles,
+            reduced_cycles=blocks.pushed,
         )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = [
     "EdgeSubset",
@@ -58,6 +58,14 @@ class MultiGraph:
                     f"edge ({u}, {v}) out of range for {self.vertex_count} vertices"
                 )
 
+    @classmethod
+    def _of(cls, vertex_count: int, edges: tuple[tuple[int, int], ...]) -> "MultiGraph":
+        """A graph on trusted edges: int pairs already inside ``range(vertex_count)``."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "vertex_count", vertex_count)
+        object.__setattr__(graph, "edges", edges)
+        return graph
+
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -100,24 +108,44 @@ class MultiGraph:
     @cached_property
     def connected_components(self) -> tuple[frozenset[int], ...]:
         """Vertex sets of the components, ordered by smallest member."""
-        seen = [False] * self.vertex_count
-        comps: list[frozenset[int]] = []
-        for start in range(self.vertex_count):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = [start]
-            while stack:
-                v = stack.pop()
-                for e in self._incidence[v]:
-                    w = self.edge_other_end(e, v)
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
+        comps = [frozenset(vertices) for vertices, _ in self._walk(range(self.edge_count))]
+        touched = set().union(*comps)
+        comps += [frozenset({v}) for v in range(self.vertex_count) if v not in touched]
+        comps.sort(key=min)
         return tuple(comps)
+
+    def edge_components(self, edges: Iterable[int]) -> tuple[frozenset[int], ...]:
+        """Components of the subgraph made of ``edges``, each given as its
+        set of edge indices, ordered by smallest member."""
+        return tuple(frozenset(comp) for _, comp in self._walk(edges))
+
+    def _walk(self, edges: Iterable[int]) -> Iterator[tuple[set[int], list[int]]]:
+        """The components of the subgraph made of ``edges``, as (vertex set,
+        edge list) pairs, in order of smallest edge."""
+        remaining = set(edges)
+        at: dict[int, list[int]] = {}
+        for e in remaining:
+            u, v = self.edges[e]
+            at.setdefault(u, []).append(e)
+            if v != u:
+                at.setdefault(v, []).append(e)
+        for seed in sorted(remaining):
+            if seed not in remaining:
+                continue
+            start = self.edges[seed][0]
+            stack, seen, comp = [start], {start}, []
+            while stack:
+                x = stack.pop()
+                for e in at[x]:
+                    if e in remaining:
+                        remaining.remove(e)
+                        comp.append(e)
+                        u, v = self.edges[e]
+                        y = v if u == x else u
+                        if y not in seen:
+                            seen.add(y)
+                            stack.append(y)
+            yield seen, comp
 
     @property
     def component_count(self) -> int:
@@ -228,7 +256,7 @@ class MultiGraph:
             if not (0 <= e < self.edge_count):
                 raise ValueError(f"edge index {e} out of range")
         kept = tuple(e for e in range(self.edge_count) if e not in dropset)
-        child = MultiGraph(self.vertex_count, tuple(self.edges[e] for e in kept))
+        child = MultiGraph._of(self.vertex_count, tuple(self.edges[e] for e in kept))
         return child, kept
 
     def subdivide(self, r: int, which: Iterable[int] | None = None) -> "SubdivisionMap":
@@ -260,7 +288,7 @@ class MultiGraph:
                 path.append(len(new_edges))
                 new_edges.append((a, b))
             edge_paths.append(tuple(path))
-        child = MultiGraph(next_vertex, tuple(new_edges))
+        child = MultiGraph._of(next_vertex, tuple(new_edges))
         return SubdivisionMap(
             parent=self,
             child=child,

@@ -155,7 +155,12 @@ def graph_pairing(gamma: Cochain1, alpha: Chain1) -> int:
         raise ValueError("pairing needs both arguments on the same graph")
     if not alpha.is_cycle():
         raise ValueError("second argument must be a cycle")
-    return len(gamma.edges & alpha.edges) & 1
+    return _parity(gamma.edges, alpha.edges)
+
+
+def _parity(gamma_edges: frozenset, alpha_edges: frozenset) -> int:
+    """The pairing bit of two supports, unchecked: the parity of their overlap."""
+    return len(gamma_edges & alpha_edges) & 1
 
 
 @dataclass(frozen=True)
@@ -198,8 +203,11 @@ def homology_basis(graph: MultiGraph) -> HomologyBasis:
 def pairing_gram(graph: MultiGraph) -> GF2Matrix:
     """Gram matrix of the pairing on the canonical bases."""
     basis = homology_basis(graph)
-    rows = [[graph_pairing(z, c) for c in basis.cycles] for z in basis.cocycles]
-    return GF2Matrix(rows, cols=basis.genus)
+    rows = (
+        sum(_parity(z.edges, c.edges) << j for j, c in enumerate(basis.cycles))
+        for z in basis.cocycles
+    )
+    return GF2Matrix._of(rows, basis.genus)
 
 
 def is_perfect_pairing(graph: MultiGraph) -> tuple[bool, GF2Matrix]:
@@ -227,22 +235,7 @@ def is_simple_cycle(alpha: Chain1) -> bool:
         degree[v] = degree.get(v, 0) + 1
     if any(d != 2 for d in degree.values()):
         return False
-    # connectivity of the support subgraph
-    touched = set(degree)
-    start = next(iter(touched))
-    stack = [start]
-    seen = {start}
-    remaining = set(support)
-    while stack:
-        x = stack.pop()
-        for e in graph.incident_edges(x):
-            if e not in remaining:
-                continue
-            y = graph.edge_other_end(e, x)
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen == touched
+    return len(graph.edge_components(support)) == 1
 
 
 def decompose_cycles(alpha: Chain1) -> list[Chain1]:

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "GF2Matrix",
@@ -53,6 +53,27 @@ def _row_reduce(rows: list[int], cols: int) -> list[int]:
     return pivots
 
 
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """An echelon basis of the span of bit rows, keyed by lowest set bit."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        row = _reduce(row, basis)
+        if row:
+            basis[row & -row] = row
+    return basis
+
+
+def _reduce(row: int, basis: Mapping[int, int]) -> int:
+    """``row`` minus basis rows until its lowest set bit has no pivot; zero
+    exactly when ``row`` lies in the span of ``basis``."""
+    while row:
+        pivot = basis.get(row & -row)
+        if pivot is None:
+            break
+        row ^= pivot
+    return row
+
+
 class GF2Matrix:
     """Immutable dense matrix over GF(2), built from nested rows of integers
     reduced mod 2 (``cols`` sets the width when there are no rows).  Row
@@ -72,12 +93,20 @@ class GF2Matrix:
         self.rows, self.cols = len(rows), width
 
     @classmethod
+    def _of(cls, bits: Iterable[int], cols: int) -> "GF2Matrix":
+        """A matrix on trusted bit rows: non-negative ints below ``2 ** cols``."""
+        mat = object.__new__(cls)
+        mat._bits = tuple(bits)
+        mat.rows, mat.cols = len(mat._bits), cols
+        return mat
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "GF2Matrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._of((0,) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+        return cls._of((1 << i for i in range(n)), n)
 
     def entry(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -102,8 +131,11 @@ class GF2Matrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         columns = other.transpose()._bits
-        prod = [[(row & col).bit_count() & 1 for col in columns] for row in self._bits]
-        return GF2Matrix(prod, cols=other.cols)
+        prod = (
+            sum(((row & col).bit_count() & 1) << j for j, col in enumerate(columns))
+            for row in self._bits
+        )
+        return GF2Matrix._of(prod, other.cols)
 
     def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
@@ -112,11 +144,16 @@ class GF2Matrix:
         return tuple((row & v).bit_count() & 1 for row in self._bits)
 
     def transpose(self) -> "GF2Matrix":
-        columns = [[row >> j & 1 for row in self._bits] for j in range(self.cols)]
-        return GF2Matrix(columns, cols=self.rows)
+        columns = [0] * self.cols
+        for i, row in enumerate(self._bits):
+            while row:
+                low = row & -row
+                columns[low.bit_length() - 1] |= 1 << i
+                row ^= low
+        return GF2Matrix._of(columns, self.rows)
 
     def rank(self) -> int:
-        return len(_row_reduce(list(self._bits), self.cols))
+        return len(_echelon(self._bits))
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -150,7 +187,16 @@ class GF2Matrix:
         return tuple(x.get(j, 0) for j in range(n))
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self == self.transpose()
+        return self.rows == self.cols and self._bits == self.transpose()._bits
+
+    def block_is_zero(self, rows: range, cols: range) -> bool:
+        """Whether every entry ``(i, j)`` with ``i`` in ``rows`` and ``j`` in
+        ``cols`` is zero; both are step-one ranges inside the shape."""
+        for span, size in ((rows, self.rows), (cols, self.cols)):
+            if span.step != 1 or not 0 <= span.start <= span.stop <= size:
+                raise IndexError(f"{span} is not a block of a {self.rows}x{self.cols} matrix")
+        mask = (1 << cols.stop) - (1 << cols.start)
+        return not any(row & mask for row in self._bits[rows.start : rows.stop])
 
     def has_zero_diagonal(self) -> bool:
         diagonal = (row >> i & 1 for i, row in enumerate(self._bits))

@@ -15,26 +15,39 @@ each other and records counterexamples instead of raising, so callers can
 print them and exit nonzero.  ``inject_fault=True`` deliberately corrupts
 the first comparison of a sweep; it exists so the harness can demonstrate
 that it would actually catch a wrong answer.
+
+Facts about a graph are derived once per graph, and every check still runs
+once per instance.  Per graph: the simple cycles (validated once by
+``all_simple_cycles``, then lifted and paired through the unchecked cores
+``cover._lift_cycle`` and ``homology._parity``), the echelon basis of the
+coboundary image behind ``_is_coboundary`` (an ``lru_cache`` keyed on the
+graph), and, in the model sweep, the reduced-graph blocks of each set of
+even edges (``curvemodel``'s cache, keyed on the graph and that set).  Per
+instance: one double cover and its connectivity, one reduction of the
+cochain against the coboundary basis, one lift and one parity per simple
+cycle, and one Weil form with all of its checks per model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
-from .cover import build_double_cover, lift_cycle, lift_shape_ok, pairing_via_cover
+from .cover import _lift_cycle, build_double_cover, lift_shape_ok, pairing_via_cover
 from .curvemodel import TwistedCurveModel
 from .graphs import MultiGraph
 from .homology import (
     Chain1,
     Cochain1,
+    _parity,
     decompose_cycles,
-    graph_pairing,
     is_perfect_pairing,
     is_simple_cycle,
 )
-from .linalg import GF2Matrix
+from .linalg import GF2Matrix, _echelon, _reduce
 from .sandpile import Divisor, divisors_equivalent, verify_torsion_on_subdivision
 
 __all__ = [
@@ -131,13 +144,20 @@ def all_simple_cycles(graph: MultiGraph) -> tuple[Chain1, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=256)
+def _coboundary_basis(graph: MultiGraph) -> Mapping[int, int]:
+    """Echelon basis of the coboundary image, as edge bit rows keyed by
+    lowest set bit: the coboundary of each vertex is its non-loop edges."""
+    rows = (
+        sum(1 << e for e in graph.incident_edges(w) if not graph.is_loop(e))
+        for w in range(graph.vertex_count)
+    )
+    return MappingProxyType(_echelon(rows))
+
+
 def _is_coboundary(graph: MultiGraph, gamma: Cochain1) -> bool:
     # gamma lies in the image of the vertex-function coboundary map
-    n = graph.vertex_count
-    rows = [[int(u != v and w in (u, v)) for w in range(n)] for u, v in graph.edges]
-    inc = GF2Matrix(rows, cols=n)
-    target = [1 if e in gamma.edges else 0 for e in range(graph.edge_count)]
-    return inc.solve(target) is not None
+    return not _reduce(sum(1 << e for e in gamma.edges), _coboundary_basis(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +199,13 @@ def pairing_equivalence_sweep(max_edges: int = 6, inject_fault: bool = False) ->
                 )
             for alpha in cycles:
                 res.instances += 1
-                lift = lift_cycle(cover, alpha)
+                lift = _lift_cycle(cover, alpha.edges)
                 count, comps = lift
                 bit_cover = 1 if count == 1 else 0
                 if fault:
                     bit_cover ^= 1
                     fault = False
-                bit_algebraic = graph_pairing(gamma, alpha)
+                bit_algebraic = _parity(gamma.edges, alpha.edges)
                 if bit_cover != bit_algebraic or not lift_shape_ok(lift, len(alpha.edges)):
                     res.record(
                         kind="pairing",
@@ -242,7 +262,7 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
                 if not form.is_alternating():
                     problems.append("alternating")
                 h, c = form.h_dim, form.component_dim
-                if any(form.gram.entry(i, j) for i in range(h) for j in range(h + c)):
+                if not form.gram.block_is_zero(range(h), range(h + c)):
                     problems.append("h-isotropy")
                 if problems:
                     res.record(

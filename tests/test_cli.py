@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from weilgraph import InputDocument, Report
-from weilgraph.cli import MAX_SUBDIVIDED_EDGES, MAX_VERIFY_EDGES, main
+from weilgraph.cli import MAX_FORM_DIMENSION, MAX_SUBDIVIDED_EDGES, MAX_VERIFY_EDGES, main
 
 THETA = '{"vertices": 2, "edges": [[0, 1], [0, 1], [0, 1]]}'
 THETA_MODEL = (
@@ -240,3 +240,26 @@ def test_tropical_subdivision_ceiling(theta_file, capsys):
     assert main(["tropical", "--graph", theta_file, "--r", str(top), "--json"]) == 0
     payload = Report.from_json(capsys.readouterr().out.strip()).payload
     assert payload["torsion_count"] == top**2 == payload["expected"]
+
+
+def test_torsion_form_dimension_ceiling(tmp_path, capsys):
+    # 2 x genus + 2 x sum of genera may reach the ceiling but not pass it
+    top = MAX_FORM_DIMENSION // 2
+    path = tmp_path / "model.json"
+    for doc in (
+        {"vertices": 1, "edges": [], "genera": [top + 1]},
+        {"vertices": 1, "edges": [[0, 0]] * (top + 1)},
+        {"vertices": 1, "edges": [], "genera": [10**5]},
+    ):
+        path.write_text(json.dumps(doc))
+        assert main(["torsion", "--graph", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"over {MAX_FORM_DIMENSION}" in captured.err
+    path.write_text(
+        json.dumps({"vertices": 1, "edges": [[0, 0]], "genera": [top - 1], "stabilizers": [2]})
+    )
+    assert main(["torsion", "--graph", str(path), "--json"]) == 0
+    payload = Report.from_json(capsys.readouterr().out.strip()).payload
+    assert payload["form_dimension"] == MAX_FORM_DIMENSION
+    assert payload["invertible"] is True

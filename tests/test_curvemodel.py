@@ -1,15 +1,22 @@
 """Decorated dual graphs: 2-torsion counts and the Weil form."""
 
+import random
+from itertools import product
+
 import pytest
 
 from weilgraph import (
+    Chain1,
     GF2Matrix,
     MultiGraph,
     TwistedCurveModel,
     TwoTorsionClass,
     bouquet_graph,
     coarse_pairing,
+    connected_multigraphs,
     dumbbell_graph,
+    graph_pairing,
+    homology_basis,
     theta_graph,
 )
 
@@ -146,3 +153,84 @@ def test_coarse_pairing():
     assert coarse_pairing(two, (1, 0, 1, 0), (0, 1, 0, 1)) == 0
     with pytest.raises(ValueError):
         coarse_pairing(two, (1, 0), (0, 1))
+
+
+def _reference_gram(model):
+    """The Weil Gram assembled from scratch as nested 0/1 lists, with the
+    reduced graph rebuilt and every h x q entry from ``graph_pairing``."""
+    graph = model.graph
+    cocycles = homology_basis(graph).cocycles
+    odd = [e for e, s in enumerate(model.edge_order) if s % 2]
+    reduced, kept = graph.delete_edges(odd)
+    pushed = [
+        Chain1(graph, frozenset(kept[j] for j in c.edges))
+        for c in homology_basis(reduced).cycles
+    ]
+    h, comp = len(cocycles), 2 * sum(model.vertex_genus)
+    total = h + comp + len(pushed)
+    rows = [[0] * total for _ in range(total)]
+    for i, gamma in enumerate(cocycles):
+        for j, alpha in enumerate(pushed):
+            bit = graph_pairing(gamma, alpha)
+            rows[i][h + comp + j] = rows[h + comp + j][i] = bit
+    off = h
+    for gv in model.vertex_genus:
+        for k in range(gv):
+            rows[off + k][off + gv + k] = rows[off + gv + k][off + k] = 1
+        off += 2 * gv
+    return GF2Matrix(rows, cols=total), (h, comp, len(pushed)), reduced.genus()
+
+
+def _assert_matches_reference(model):
+    form = model.weil_form()
+    gram, dims, reduced_genus = _reference_gram(model)
+    assert form.gram == gram, (model.graph.edges, model.vertex_genus, model.edge_order)
+    assert (form.h_dim, form.component_dim, form.q_dim) == dims
+    assert model.reduced_genus() == reduced_genus
+
+
+def test_weil_form_matches_reference_on_small_models():
+    checked = 0
+    for graph in connected_multigraphs(3):
+        n = graph.vertex_count
+        for orders in product((1, 2, 3, 4), repeat=graph.edge_count):
+            for genera in product((0, 1), repeat=n):
+                _assert_matches_reference(TwistedCurveModel(graph, genera, orders))
+                checked += 1
+    assert checked == 12922
+
+
+def test_weil_form_matches_reference_on_random_models():
+    rng = random.Random(4)
+    for _ in range(200):
+        m = rng.randint(8, 20)
+        n = rng.randint(1, m)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(m - len(edges))]
+        rng.shuffle(edges)
+        graph = MultiGraph(n, tuple(edges))
+        genera = tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+        orders = tuple(rng.choice((1, 2, 3, 4)) for _ in range(m))
+        _assert_matches_reference(TwistedCurveModel(graph, genera, orders))
+
+
+def test_reduced_blocks_are_per_graph():
+    # one even-edge set on different graphs, each asked right after the other
+    path = MultiGraph(3, ((0, 1), (1, 2), (0, 1), (0, 0)))
+    swapped = MultiGraph(3, ((0, 1), (0, 1), (1, 2), (0, 0)))
+    loops = MultiGraph(3, ((0, 0), (1, 2), (1, 1), (0, 1)))
+    expected = {
+        path: {frozenset({0, 2})},  # the parallel pair
+        swapped: set(),  # a path
+        loops: {frozenset({0}), frozenset({2})},
+    }
+    for graph in (path, swapped, loops, path, loops, swapped):
+        model = TwistedCurveModel(graph, (0, 1, 0), (2, 1, 2, 1))
+        assert model.even_edges() == frozenset({0, 2})
+        _assert_matches_reference(model)
+        reduced, kept = model.reduced_graph()
+        assert kept == (0, 2)
+        assert reduced.edges == (graph.edges[0], graph.edges[2])
+        form = model.weil_form()
+        assert all(c.graph == graph for c in form.reduced_cycles)
+        assert {c.edges for c in form.reduced_cycles} == expected[graph]

@@ -116,6 +116,61 @@ def test_gf2_kernel_and_solve_against_enumeration():
             assert list(a.mul_vec(x)) == list(b)
 
 
+def _list_rank(rows, cols):
+    """Rank by Gaussian elimination on nested 0/1 lists."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(cols):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                rows[i] = [x ^ y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_gf2_bit_kernels_against_nested_lists():
+    rng = random.Random(5)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (7, 7)]
+    shapes += [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(400)]
+    for rows, cols in shapes:
+        density = rng.choice((0.1, 0.5, 0.9))
+        entries = [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]
+        if rows == cols and rng.random() < 0.5:
+            # mirror the upper triangle, so symmetric matrices come up too
+            entries = [[entries[min(i, j)][max(i, j)] for j in range(cols)] for i in range(rows)]
+        a = GF2Matrix(entries, cols=cols)
+        listed = a.tolist()
+        assert listed == entries
+        assert a.rank() == _list_rank(listed, cols)
+        t = a.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert t.tolist() == [[listed[i][j] for i in range(rows)] for j in range(cols)]
+        assert t.transpose() == a
+        symmetric = rows == cols and all(
+            listed[i][j] == listed[j][i] for i in range(rows) for j in range(cols)
+        )
+        assert a.is_symmetric() == symmetric
+        r0, r1 = sorted(rng.randint(0, rows) for _ in range(2))
+        c0, c1 = sorted(rng.randint(0, cols) for _ in range(2))
+        assert a.block_is_zero(range(r0, r1), range(c0, c1)) == (
+            not any(listed[i][j] for i in range(r0, r1) for j in range(c0, c1))
+        )
+        b = GF2Matrix([[rng.randint(0, 1) for _ in range(3)] for _ in range(cols)], cols=3)
+        product_rows = [
+            [sum(listed[i][k] * b.entry(k, j) for k in range(cols)) % 2 for j in range(3)]
+            for i in range(rows)
+        ]
+        assert (a @ b).tolist() == product_rows
+    with pytest.raises(IndexError):
+        GF2Matrix.identity(2).block_is_zero(range(3), range(2))
+    with pytest.raises(IndexError):
+        GF2Matrix.identity(2).block_is_zero(range(0, 2, 2), range(2))
+
+
 # -- integers ----------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from weilgraph import (
     Cochain1,
+    GF2Matrix,
     MultiGraph,
     SweepResult,
     all_cochains,
@@ -87,6 +88,20 @@ def test_is_coboundary():
     assert _is_coboundary(g, Cochain1(g, frozenset({0, 1, 2})))
     assert not _is_coboundary(g, Cochain1(g, frozenset({0, 1})))
     assert not _is_coboundary(g, Cochain1(g, frozenset({0})))
+
+
+def test_is_coboundary_against_solve():
+    # the per-graph echelon basis against solving the incidence system
+    checked = 0
+    for g in connected_multigraphs(4):
+        n = g.vertex_count
+        rows = [[int(u != v and w in (u, v)) for w in range(n)] for u, v in g.edges]
+        incidence = GF2Matrix(rows, cols=n)
+        for gamma in all_cochains(g):
+            target = [int(e in gamma.edges) for e in range(g.edge_count)]
+            assert _is_coboundary(g, gamma) == (incidence.solve(target) is not None)
+            checked += 1
+    assert checked == sum(2**g.edge_count for g in connected_multigraphs(4))
 
 
 def test_sweep_result_bookkeeping():
