@@ -24,8 +24,11 @@ kept-edge map, its cycle basis pushed into the parent graph and the h x q
 pairing bits depend on nothing else.  ``_reduced_blocks`` computes them
 once per ``(graph, even_edges)`` key in a bounded ``lru_cache``, and
 ``reduced_graph``, ``reduced_genus``, ``two_torsion_order`` and
-``weil_form`` all read them from there.  Per model there remains only the
-genus bookkeeping and the assembly of the Gram rows around those blocks.
+``weil_form`` all read them from there.  ``reduced_genus`` counts edges,
+vertices and components of the cached reduced graph rather than the cycle
+basis that sizes the q block, so the torsion order and the form dimension
+stay two independent counts.  Per model there remains only the genus
+bookkeeping and the assembly of the Gram rows around those blocks.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .graphs import EdgeSubset, MultiGraph
-from .homology import Chain1, Cochain1, _parity, homology_basis
+from .homology import Chain1, Cochain1, _pairing_rows, homology_basis
 from .linalg import GF2Matrix
 
 __all__ = [
@@ -56,6 +59,9 @@ class _ReducedBlocks(NamedTuple):
     transposed: tuple[int, ...]  # row j, bit i: the same bit
 
 
+# The sweeps look keys up one graph at a time, so any size of one or more
+# gives them the same hit rate; the bound only caps what a long-lived caller
+# mixing many graphs can hold.
 @lru_cache(maxsize=256)
 def _reduced_blocks(graph: MultiGraph, even_edges: EdgeSubset) -> _ReducedBlocks:
     odd = frozenset(range(graph.edge_count)) - even_edges
@@ -64,13 +70,10 @@ def _reduced_blocks(graph: MultiGraph, even_edges: EdgeSubset) -> _ReducedBlocks
         Chain1(graph, frozenset(kept[j] for j in c.edges))
         for c in homology_basis(reduced).cycles
     )
-    pairing = tuple(
-        sum(_parity(gamma.edges, alpha.edges) << j for j, alpha in enumerate(pushed))
-        for gamma in homology_basis(graph).cocycles
-    )
-    transposed = tuple(
-        sum((bits >> j & 1) << i for i, bits in enumerate(pairing)) for j in range(len(pushed))
-    )
+    cocycle_edges = [gamma.edges for gamma in homology_basis(graph).cocycles]
+    pushed_edges = [alpha.edges for alpha in pushed]
+    pairing = _pairing_rows(cocycle_edges, pushed_edges)
+    transposed = _pairing_rows(pushed_edges, cocycle_edges)
     return _ReducedBlocks(reduced, kept, pushed, pairing, transposed)
 
 
@@ -117,7 +120,7 @@ class TwistedCurveModel:
         return blocks.reduced, blocks.kept
 
     def reduced_genus(self) -> int:
-        return len(self._blocks().pushed)
+        return self.reduced_graph()[0].genus()
 
     def two_torsion_order(self) -> int:
         """Size of the 2-torsion of the Picard group.

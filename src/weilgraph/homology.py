@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graphs import EdgeSubset, MultiGraph
 from .linalg import GF2Matrix
@@ -163,6 +163,15 @@ def _parity(gamma_edges: frozenset, alpha_edges: frozenset) -> int:
     return len(gamma_edges & alpha_edges) & 1
 
 
+def _pairing_rows(rows_of: Sequence[frozenset], cols_of: Sequence[frozenset]) -> tuple[int, ...]:
+    """Pairing bits as GF(2) bit rows, unchecked: row i, bit j is the parity
+    of ``rows_of[i]`` against ``cols_of[j]``.  The parity is symmetric, so
+    swapping the arguments gives the transpose."""
+    return tuple(
+        sum(_parity(r, c) << j for j, c in enumerate(cols_of)) for r in rows_of
+    )
+
+
 @dataclass(frozen=True)
 class HomologyBasis:
     """Canonical dual bases of H1 and H^1 hung off a spanning forest.
@@ -203,9 +212,8 @@ def homology_basis(graph: MultiGraph) -> HomologyBasis:
 def pairing_gram(graph: MultiGraph) -> GF2Matrix:
     """Gram matrix of the pairing on the canonical bases."""
     basis = homology_basis(graph)
-    rows = (
-        sum(_parity(z.edges, c.edges) << j for j, c in enumerate(basis.cycles))
-        for z in basis.cocycles
+    rows = _pairing_rows(
+        [z.edges for z in basis.cocycles], [c.edges for c in basis.cycles]
     )
     return GF2Matrix._of(rows, basis.genus)
 

@@ -144,6 +144,8 @@ def all_simple_cycles(graph: MultiGraph) -> tuple[Chain1, ...]:
     return tuple(out)
 
 
+# Looked up one graph at a time by the sweep, so any size of one or more
+# gives the same hit rate; the bound only caps memory for long-lived callers.
 @lru_cache(maxsize=256)
 def _coboundary_basis(graph: MultiGraph) -> Mapping[int, int]:
     """Echelon basis of the coboundary image, as edge bit rows keyed by
