@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .graphs import EdgeSubset, MultiGraph
+from .graphs import MultiGraph
 from .linalg import GF2Matrix
 
 __all__ = [
@@ -48,6 +48,14 @@ def _check_edges(graph: MultiGraph, edges: frozenset) -> frozenset:
     return edges
 
 
+def _trusted(cls, graph: MultiGraph, edges: frozenset):
+    # an edge-set wrapper built without _check_edges
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "graph", graph)
+    object.__setattr__(obj, "edges", edges)
+    return obj
+
+
 def _check_vertices(graph: MultiGraph, vertices: frozenset) -> frozenset:
     vertices = frozenset(int(v) for v in vertices)
     for v in vertices:
@@ -65,6 +73,11 @@ class Chain1:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", _check_edges(self.graph, self.edges))
+
+    @classmethod
+    def _of(cls, graph: MultiGraph, edges: frozenset) -> "Chain1":
+        """A chain on a trusted support: a frozenset of the graph's edge indices."""
+        return _trusted(cls, graph, edges)
 
     def __xor__(self, other: "Chain1") -> "Chain1":
         if self.graph != other.graph:
@@ -135,6 +148,11 @@ class Cochain1:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", _check_edges(self.graph, self.edges))
+
+    @classmethod
+    def _of(cls, graph: MultiGraph, edges: frozenset) -> "Cochain1":
+        """A cochain on a trusted support: a frozenset of the graph's edge indices."""
+        return _trusted(cls, graph, edges)
 
     def __xor__(self, other: "Cochain1") -> "Cochain1":
         if self.graph != other.graph:

@@ -11,11 +11,14 @@ invariant factor.
 A divisor equivalence check rides on Dhar's burning algorithm: every class
 has a unique base-reduced representative, found by making the divisor
 effective away from the base and then repeatedly firing what the fire from
-the base fails to burn.  Burning reads the cached Smith form only to pick
-a principal shift for divisors with large entries, and any integer firing
-vector keeps the divisor class: a wrong Smith form could slow burning
-down but could not change its answer.  So the two routes can still be
-played against each other in tests.
+the base fails to burn.  Two divisors are equivalent exactly when their
+difference reduces to zero, so an equivalence check burns once.  Burning
+reads the cached Smith form only to pick a principal shift, taken exactly
+when some entry off the base lies outside the degree box
+``[-deg(v), deg(v)]`` (``deg`` the non-loop degree), the box the shift is
+proven to land in.  Any integer firing vector keeps the divisor class: a
+wrong Smith form could slow burning down but could not change its answer.
+So the two routes can still be played against each other in tests.
 
 The subdivision check at the bottom is the reason this module exists: on
 the r-subdivision of a graph, the r-torsion of the critical group has
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
-from operator import mul
+from operator import add, mul, sub
 
 from .graphs import MultiGraph, SubdivisionMap
 from .linalg import IntMatrix, smith_normal_form
@@ -62,8 +65,16 @@ class Divisor:
             raise ValueError("one coefficient per vertex required")
 
     @classmethod
+    def _of(cls, graph: MultiGraph, coefficients: tuple[int, ...]) -> "Divisor":
+        """A divisor on trusted coefficients: an int tuple, one per vertex."""
+        divisor = object.__new__(cls)
+        object.__setattr__(divisor, "graph", graph)
+        object.__setattr__(divisor, "coefficients", coefficients)
+        return divisor
+
+    @classmethod
     def zero(cls, graph: MultiGraph) -> "Divisor":
-        return cls(graph, (0,) * graph.vertex_count)
+        return cls._of(graph, (0,) * graph.vertex_count)
 
     def degree(self) -> int:
         return sum(self.coefficients)
@@ -74,21 +85,18 @@ class Divisor:
 
     def __add__(self, other: "Divisor") -> "Divisor":
         self._same_graph(other)
-        return Divisor(
-            self.graph, tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
-        )
+        return Divisor._of(self.graph, tuple(map(add, self.coefficients, other.coefficients)))
 
     def __sub__(self, other: "Divisor") -> "Divisor":
         self._same_graph(other)
-        return Divisor(
-            self.graph, tuple(a - b for a, b in zip(self.coefficients, other.coefficients))
-        )
+        return Divisor._of(self.graph, tuple(map(sub, self.coefficients, other.coefficients)))
 
     def __neg__(self) -> "Divisor":
-        return Divisor(self.graph, tuple(-a for a in self.coefficients))
+        return Divisor._of(self.graph, tuple(-a for a in self.coefficients))
 
     def scale(self, k: int) -> "Divisor":
-        return Divisor(self.graph, tuple(k * a for a in self.coefficients))
+        k = int(k)
+        return Divisor._of(self.graph, tuple(k * a for a in self.coefficients))
 
 
 def laplacian(graph: MultiGraph) -> IntMatrix:
@@ -172,11 +180,6 @@ def _reduced_smith(graph: MultiGraph, base: int):
     return smith_normal_form(reduced_laplacian(graph, base))
 
 
-# Chip counts above this many times the vertex count trigger the principal
-# shift in dhar_reduce; below it, plain burning is already fast.
-_SHIFT_THRESHOLD = 8
-
-
 def _principal_shift(graph: MultiGraph, base: int, d: list[int]) -> list[int]:
     """Shift ``d`` by a principal divisor so its entries become small.
 
@@ -212,16 +215,19 @@ def _principal_shift(graph: MultiGraph, base: int, d: list[int]) -> list[int]:
 def dhar_reduce(graph: MultiGraph, divisor: Divisor, base: int) -> Divisor:
     """The unique base-reduced divisor equivalent to ``divisor``.
 
-    Large chip counts are first tamed by subtracting the principal divisor
-    of the rounded rational solution of the Laplacian system, which bounds
-    the entries by the vertex degrees without leaving the class.  Phase
-    one then makes the divisor effective away from the base by firing the
-    balls around the base, farthest layer first: firing the ball of radius
-    k-1 pushes chips into layer k and touches nothing farther out, and the
-    needed multiplicity has a closed form.  Phase two is Dhar's loop: burn
-    from the base, fire the unburnt set as many times as it stays
-    effective, repeat until the fire eats everything.  All steps are
-    integer set firings, so the class never changes.
+    When some entry off the base lies outside the degree box
+    ``[-deg(v), deg(v)]`` (``deg`` the non-loop degree), the divisor is
+    first shifted by the principal divisor of the rounded rational solution
+    of the Laplacian system, which lands every such entry inside the box
+    without leaving the class; a divisor already in the box is left as it
+    is, so the rule never fires twice.  Phase one then makes the divisor
+    effective away from the base by firing the balls around the base,
+    farthest layer first: firing the ball of radius k-1 pushes chips into
+    layer k and touches nothing farther out, and the needed multiplicity
+    has a closed form.  Phase two is Dhar's loop: burn from the base, fire
+    the unburnt set as many times as it stays effective, repeat until the
+    fire eats everything.  All steps are integer set firings, so the class
+    never changes.
     """
     if divisor.graph != graph:
         raise ValueError("divisor lives on a different graph")
@@ -235,7 +241,11 @@ def dhar_reduce(graph: MultiGraph, divisor: Divisor, base: int) -> Divisor:
 
     neigh = _neighbor_lists(graph)
     d = list(divisor.coefficients)
-    if max(abs(c) for c in d) > _SHIFT_THRESHOLD * n:
+    if any(
+        abs(c) > sum(mult for _, mult in nb)
+        for v, (c, nb) in enumerate(zip(d, neigh))
+        if v != base
+    ):
         d = _principal_shift(graph, base, d)
     dist = _bfs_layers(graph, base)
     depth = max(dist)
@@ -278,7 +288,7 @@ def dhar_reduce(graph: MultiGraph, divisor: Divisor, base: int) -> Divisor:
                     frontier.append(y)
         unburnt = [v for v in range(n) if not burnt[v]]
         if not unburnt:
-            return Divisor(graph, tuple(d))
+            return Divisor._of(graph, tuple(d))
         # threat[v] is the edge count from v into the burnt set, which is
         # exactly what one firing of the unburnt set costs v
         times = min(d[v] // threat[v] for v in unburnt if threat[v] > 0)
@@ -293,12 +303,17 @@ def dhar_reduce(graph: MultiGraph, divisor: Divisor, base: int) -> Divisor:
 def divisors_equivalent(
     graph: MultiGraph, d1: Divisor, d2: Divisor, base: int = 0
 ) -> bool:
-    """Linear equivalence via uniqueness of the base-reduced representative."""
+    """Linear equivalence via uniqueness of the base-reduced representative.
+
+    The zero divisor is base-reduced on a connected graph, so ``d1`` and
+    ``d2`` are equivalent exactly when ``d1 - d2`` reduces to zero: one
+    reduction instead of two.
+    """
     if d1.graph != graph or d2.graph != graph:
         raise ValueError("divisors live on a different graph")
     if d1.degree() != d2.degree():
         return False
-    return dhar_reduce(graph, d1, base) == dhar_reduce(graph, d2, base)
+    return not any(dhar_reduce(graph, d1 - d2, base).coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +367,14 @@ def critical_group(graph: MultiGraph, base: int = 0) -> CriticalGroup:
         raise ValueError("critical group of the empty graph: it has no vertices")
     if not graph.is_connected():
         raise ValueError("critical group needs a connected graph")
-    n = graph.vertex_count
-    if not (0 <= base < n):
+    if not (0 <= base < graph.vertex_count):
         raise ValueError("base vertex out of range")
+    return _critical_group(graph, base)
+
+
+def _critical_group(graph: MultiGraph, base: int) -> CriticalGroup:
+    """``critical_group`` unchecked: ``graph`` connected, ``base`` a vertex."""
+    n = graph.vertex_count
     snf = _reduced_smith(graph, base)
     verts = [v for v in range(n) if v != base]
     factors: list[int] = []
@@ -368,7 +388,7 @@ def critical_group(graph: MultiGraph, base: int = 0) -> CriticalGroup:
         for v, c in zip(verts, column):
             coeffs[v] = c
         coeffs[base] = -sum(column)
-        gens.append(Divisor(graph, tuple(coeffs)))
+        gens.append(Divisor._of(graph, tuple(coeffs)))
     return CriticalGroup(
         graph=graph,
         base_vertex=base,
@@ -415,7 +435,8 @@ def verify_torsion_on_subdivision(
         raise ValueError("torsion check needs a connected graph")
     which = None if mode == "all" else graph.non_separating_edges()
     sub = graph.subdivide(r, which)
-    group = critical_group(sub.child, base=0)
+    # subdividing keeps the graph connected and vertex 0 in place
+    group = _critical_group(sub.child, 0)
     count, gens = group.r_torsion(r)
     expected = r ** graph.genus()
     return TorsionReport(

@@ -129,7 +129,7 @@ def all_cochains(graph: MultiGraph) -> Iterator[Cochain1]:
     """Every GF(2) edge function, in bitmask order."""
     m = graph.edge_count
     for mask in range(1 << m):
-        yield Cochain1(graph, frozenset(e for e in range(m) if mask >> e & 1))
+        yield Cochain1._of(graph, frozenset(e for e in range(m) if mask >> e & 1))
 
 
 def all_simple_cycles(graph: MultiGraph) -> tuple[Chain1, ...]:
@@ -138,7 +138,7 @@ def all_simple_cycles(graph: MultiGraph) -> tuple[Chain1, ...]:
     m = graph.edge_count
     for size in range(1, m + 1):
         for combo in combinations(range(m), size):
-            chain = Chain1(graph, frozenset(combo))
+            chain = Chain1._of(graph, frozenset(combo))
             if is_simple_cycle(chain):
                 out.append(chain)
     return tuple(out)

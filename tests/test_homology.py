@@ -1,7 +1,6 @@
 """Chains, cycles, the evaluation pairing, canonical bases."""
 
 import random
-from itertools import product
 
 import pytest
 

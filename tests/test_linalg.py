@@ -12,7 +12,7 @@ from math import gcd, prod
 
 import pytest
 
-from weilgraph import GF2Matrix, IntMatrix, SmithForm, smith_normal_form
+from weilgraph import GF2Matrix, IntMatrix, smith_normal_form
 
 
 # -- GF(2) -------------------------------------------------------------------

@@ -2,27 +2,38 @@
 
 The sweeps cover every graph with up to six edges; these draw connected
 multigraphs with 8 to 40 edges, loops and parallel edges included, and
-check that the canonical pairing Gram is the identity and that the cover
-route agrees with the support-parity pairing on fundamental cycles.
+check that the canonical pairing Gram is the identity, that the cover
+route agrees with the support-parity pairing on fundamental cycles, that
+burning agrees with an exact rational solve and is idempotent, and that
+the critical group has one element per spanning tree.
 """
+
+from operator import mul
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given, note, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from test_acceptance import _in_laplacian_image  # noqa: E402
 from weilgraph import (  # noqa: E402
     Cochain1,
+    Divisor,
     GF2Matrix,
     MultiGraph,
     build_double_cover,
+    critical_group,
+    dhar_reduce,
+    divisors_equivalent,
     graph_pairing,
     homology_basis,
     is_simple_cycle,
+    laplacian,
     lift_cycle,
     pairing_gram,
     pairing_via_cover,
+    spanning_tree_count,
 )
 from weilgraph.cover import lift_shape_ok  # noqa: E402
 
@@ -63,3 +74,61 @@ def test_cover_pairing_equals_graph_pairing(graph, data):
             assert lift_shape_ok(lift, len(alpha.edges))
             assert pairing_via_cover(graph, gamma, alpha) == graph_pairing(gamma, alpha)
             assert (lift[0] == 1) == (graph_pairing(gamma, alpha) == 1)
+
+
+@st.composite
+def divisors(draw, graph, degree=None):
+    """A small divisor (of the given degree, if one is given) minus the
+    principal divisor of a random firing.  The firing's reach puts the
+    entries inside the degree box ``[-deg(v), deg(v)]`` on some draws and
+    far outside it on others, so burning runs both with and without its
+    principal shift."""
+    n = graph.vertex_count
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    if degree is not None:
+        coeffs[0] += degree - sum(coeffs)
+    reach = draw(st.sampled_from((0, 1, 5, 1000)))
+    fire = draw(st.lists(st.integers(-reach, reach), min_size=n, max_size=n))
+    lap = laplacian(graph).entries
+    return Divisor(
+        graph, tuple(c - sum(map(mul, row, fire)) for c, row in zip(coeffs, lap))
+    )
+
+
+def _in_degree_box(graph, divisor, base):
+    lap = laplacian(graph).entries
+    return all(
+        abs(c) <= lap[v][v] for v, c in enumerate(divisor.coefficients) if v != base
+    )
+
+
+@PROPERTY_SETTINGS
+@given(connected_multigraphs(), st.data())
+def test_burning_agrees_with_rational_oracle(graph, data):
+    base = data.draw(st.integers(0, graph.vertex_count - 1))
+    d1 = data.draw(divisors(graph))
+    d2 = data.draw(divisors(graph, degree=d1.degree()))
+    diff = d1 - d2
+    note(f"difference inside the degree box: {_in_degree_box(graph, diff, base)}")
+    assert divisors_equivalent(graph, d1, d2, base) == _in_laplacian_image(
+        graph, diff.coefficients
+    )
+
+
+@PROPERTY_SETTINGS
+@given(connected_multigraphs(), st.data())
+def test_dhar_reduce_is_idempotent(graph, data):
+    base = data.draw(st.integers(0, graph.vertex_count - 1))
+    d = data.draw(divisors(graph))
+    red = dhar_reduce(graph, d, base)
+    assert red.degree() == d.degree()
+    # reduced means 0 <= red[v] < deg(v) off the base, inside the box
+    assert all(c >= 0 for v, c in enumerate(red.coefficients) if v != base)
+    assert _in_degree_box(graph, red, base)
+    assert dhar_reduce(graph, red, base) == red
+
+
+@PROPERTY_SETTINGS
+@given(connected_multigraphs())
+def test_critical_group_order_counts_spanning_trees(graph):
+    assert critical_group(graph).order() == spanning_tree_count(graph)

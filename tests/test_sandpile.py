@@ -22,6 +22,7 @@ from weilgraph import (
     smith_normal_form,
     spanning_tree_count,
     theta_graph,
+    torsion_sweep,
     verify_torsion_on_subdivision,
 )
 from weilgraph import sandpile
@@ -339,3 +340,83 @@ def test_forty_edge_subdivision_keeps_transforms_small():
     assert snf.verify()
     for mat in (snf.left, snf.right, snf.left_inverse):
         assert max(abs(x).bit_length() for row in mat.entries for x in row) <= 65536
+
+
+def test_shift_fires_exactly_outside_the_degree_box(monkeypatch):
+    # the shift is taken when some entry off the base leaves [-deg, deg],
+    # the box it is proven to land in, and never otherwise
+    shifted = []
+    honest = sandpile._principal_shift
+
+    def spy(graph, base, d):
+        shifted.append(tuple(d))
+        return honest(graph, base, d)
+
+    monkeypatch.setattr(sandpile, "_principal_shift", spy)
+    g = K4  # every degree is 3
+    for coeffs, expect in (
+        ((0, 3, -3, 0), False),
+        ((-100, 3, 3, 3), False),  # the base entry never counts
+        ((0, 4, -4, 0), True),
+        ((0, 0, -4, 4), True),
+        ((3, -3, 0, 0), False),
+    ):
+        shifted.clear()
+        red = dhar_reduce(g, Divisor(g, coeffs), 0)
+        assert bool(shifted) == expect, coeffs
+        assert dhar_reduce(g, red, 0) == red
+    # a dumbbell's vertices have degree 1 whatever their loops
+    g = dumbbell_graph()
+    shifted.clear()
+    dhar_reduce(g, Divisor(g, (-1, 1)), 0)
+    assert not shifted
+    dhar_reduce(g, Divisor(g, (-2, 2)), 0)
+    assert shifted
+
+
+def _corrupt_smith(monkeypatch, *fields):
+    # every cached Smith form handed out with +1 on the first row of each
+    # named transform
+    def bump_first_row(mat):
+        rows = [list(row) for row in mat.entries]
+        if rows:
+            rows[0] = [x + 1 for x in rows[0]]
+        return IntMatrix(rows, cols=mat.cols)
+
+    honest = sandpile._reduced_smith
+
+    def corrupted(g, base):
+        snf = honest(g, base)
+        return replace(snf, **{name: bump_first_row(getattr(snf, name)) for name in fields})
+
+    monkeypatch.setattr(sandpile, "_reduced_smith", corrupted)
+
+
+def test_torsion_sweep_catches_wrong_generators(monkeypatch):
+    # generators come from the left inverse; burning must see that r times
+    # a wrong one is not principal, whatever shift it takes on the way
+    _corrupt_smith(monkeypatch, "left_inverse")
+    res = torsion_sweep(4, rs=(2, 3, 4, 5))
+    assert res.instances == 1080
+    assert res.failure_count > 0
+    assert all(f["kind"] == "generator-order" for f in res.failures)
+
+
+def test_torsion_sweep_ignores_a_wrong_shift(monkeypatch):
+    # left and right feed only the shift: a wrong one lands outside the
+    # degree box, but no shift can change a verdict
+    _corrupt_smith(monkeypatch, "left", "right")
+    outside = []
+    honest = sandpile._principal_shift
+
+    def spy(graph, base, d):
+        out = honest(graph, base, d)
+        lap = laplacian(graph).entries
+        outside.append(any(abs(c) > lap[v][v] for v, c in enumerate(out) if v != base))
+        return out
+
+    monkeypatch.setattr(sandpile, "_principal_shift", spy)
+    res = torsion_sweep(4, rs=(2, 3, 4, 5))
+    assert res.instances == 1080
+    assert res.ok, res.failures
+    assert any(outside)
