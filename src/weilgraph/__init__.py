@@ -10,7 +10,6 @@ two-torsion of decorated (vertex genus, edge stabilizer) models.
 from .cover import (
     DoubleCover,
     build_double_cover,
-    check_lift_shape,
     cover_to_dot,
     lift_cycle,
     pairing_via_cover,
@@ -96,7 +95,6 @@ __all__ = [
     "all_simple_cycles",
     "bouquet_graph",
     "build_double_cover",
-    "check_lift_shape",
     "coarse_pairing",
     "connected_multigraphs",
     "cover_to_dot",

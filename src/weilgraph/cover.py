@@ -25,7 +25,6 @@ from .homology import Chain1, Cochain1, is_simple_cycle
 __all__ = [
     "DoubleCover",
     "build_double_cover",
-    "check_lift_shape",
     "cover_to_dot",
     "lift_cycle",
     "pairing_via_cover",
@@ -126,11 +125,6 @@ def lift_shape_ok(lift: tuple[int, tuple[frozenset, ...]], length: int) -> bool:
     count, components = lift
     sizes = [len(c) for c in components]
     return (count, sizes) in ((1, [2 * length]), (2, [length, length]))
-
-
-def check_lift_shape(cover: DoubleCover, alpha: Chain1) -> bool:
-    """Lift shape sanity: one 2l-cycle or two l-cycles, nothing else."""
-    return lift_shape_ok(lift_cycle(cover, alpha), len(alpha.edges))
 
 
 def cover_to_dot(cover: DoubleCover) -> str:

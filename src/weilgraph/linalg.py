@@ -8,7 +8,10 @@ zero, kernel vectors follow ascending free columns).  ``IntMatrix`` and
 counts overflow fixed-width integers quickly; the Smith form carries
 unimodular transforms on both sides plus the inverse of the left one,
 which the critical-group generators and the principal shift of burning
-consume.
+consume.  Its elimination pivots on any entry that divides its whole row
+and column, units first; the pivots it settles need not divide one
+another, and gcd steps on pairs of diagonal entries restore the chain at
+the end (see ``smith_normal_form``).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from math import gcd
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -448,19 +452,67 @@ def _hermite(m: list[list[int]], ids: list[int], track) -> None:
                     op(k2, k, 1, -q, 0, 1)
 
 
+def _pivot(
+    rows: list[dict[int, int]], cols: list[set[int]], active: list[int]
+) -> tuple[int, int] | None:
+    """Phase one's next pivot ``(row, column)``, or None when there is none.
+
+    Among the entries ``x`` of the active rows that divide every entry of
+    their row and column, the least by ``|x|``, then Markowitz cost
+    ``(row nnz - 1) * (column nnz - 1)``, then row, then column.  A unit
+    divides everything, so units are searched first and without any
+    divisibility test; a row holds a candidate only at entries of absolute
+    value equal to its gcd.
+    """
+    best = None
+    for i in active:
+        row = rows[i]
+        rest = len(row) - 1
+        for j, x in row.items():
+            if x == 1 or x == -1:
+                key = (rest * (len(cols[j]) - 1), i, j)
+                if best is None or key < best:
+                    best = key
+        if best is not None and best[0] == 0:
+            break
+    if best is not None:
+        return best[1:]
+    for i in active:
+        row = rows[i]
+        g = gcd(*row.values())
+        if best is not None and g > best[0]:
+            continue
+        rest = len(row) - 1
+        for j, x in row.items():
+            if abs(x) != g:
+                continue
+            key = (g, rest * (len(cols[j]) - 1), i, j)
+            if (best is None or key < best) and all(rows[k][j] % x == 0 for k in cols[j]):
+                best = key
+    return None if best is None else best[2:]
+
+
 def smith_normal_form(mat: IntMatrix) -> SmithForm:
     """Smith normal form with unimodular transforms on both sides.
 
-    Two phases.  The first eliminates on ±1 pivots over sparse rows, each
-    chosen by least Markowitz cost ``(row nnz - 1) * (column nnz - 1)``,
-    ties to the lowest row then column (Dumas, Saunders and Villard, J.
-    Symbolic Comput. 32, 2001).  A unit pivot clears its row and column in
-    one pass and divides everything, so it settles a diagonal 1 at once;
-    on the Laplacians this package feeds it, every subdivision vertex
-    brings such pivots, and what is left is about genus size.  The second
-    phase brings that dense remainder to a diagonal by alternating row and
-    column Hermite forms, then makes each diagonal entry divide the next
-    by gcd steps on pairs.
+    Two phases.  The first eliminates over sparse rows on pivots ``x``
+    that divide every entry of their row and column, chosen by least
+    ``|x|``, then least Markowitz cost ``(row nnz - 1) * (column nnz - 1)``,
+    then lowest row and column (Havas, Holt and Rees, Linear Algebra Appl.
+    192, 1993; Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
+    Such a pivot clears its row and column in one pass with exact
+    quotients and settles ``|x|`` as a diagonal entry.  Units come first,
+    and on the Laplacians this package feeds it every subdivision vertex
+    brings them; the divisor pivots that follow leave the second phase a
+    few rows.  That phase brings the dense remainder to a diagonal by
+    alternating row and column Hermite forms.
+
+    A divisor pivot need not divide the rest of the matrix, so the settled
+    entries do not yet form a chain.  The matrix is now equivalent to a
+    diagonal, and ``diag(p, b)`` is equivalent to ``diag(gcd, lcm)``, so a
+    last pass of such gcd steps on pairs, over the settled entries and the
+    second phase's diagonal together, makes each entry divide the next,
+    zeros last.  Units divide everything and stay in front.
 
     ``left`` and the transposes of ``left_inverse`` and ``right`` are kept
     as sparse rows, so every tracked operation is a row operation; row
@@ -489,29 +541,17 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
         u[i] = {k: -x for k, x in u[i].items()}
         uinv_t[i] = {k: -x for k, x in uinv_t[i].items()}
 
-    # phase one: unit pivots
+    # phase one: pivots that divide their row and column
     row_order: list[int] = []
     col_order: list[int] = []
+    settled: list[int] = []
     active = list(range(R))
-    while True:
-        best = None
-        for i in active:
-            row = rows[i]
-            rest = len(row) - 1
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    key = (rest * (len(cols[j]) - 1), i, j)
-                    if best is None or key < best:
-                        best = key
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, p, q = best
+    while (pivot := _pivot(rows, cols, active)) is not None:
+        p, q = pivot
         prow = rows[p]
         s = prow[q]
         for i in [i for i in cols[q] if i != p]:
-            c = -rows[i][q] * s
+            c = -(rows[i][q] // s)
             row = rows[i]
             for j, x in prow.items():
                 y = row.get(j, 0) + c * x
@@ -527,14 +567,15 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
         # operations changes nothing else in the matrix
         for j, x in prow.items():
             if j != q:
-                col_track(j, q, 1, -x * s, 0, 1)
+                col_track(j, q, 1, -(x // s), 0, 1)
                 cols[j].discard(p)
         if s < 0:
             negate_row(p)
-        rows[p] = {q: 1}
+        rows[p] = {q: abs(s)}
         active.remove(p)
         row_order.append(p)
         col_order.append(q)
+        settled.append(abs(s))
 
     # phase two: the dense remainder
     rr = active
@@ -552,30 +593,37 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
         if not is_diagonal():
             _hermite(a, rr, row_track)
 
-    diag = [abs(a[t][t]) for t in range(min(len(rr), len(rc)))]
-    for t in range(len(diag)):
+    k = min(len(rr), len(rc))
+    for t in range(k):
         if a[t][t] < 0:
             negate_row(rr[t])
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
+    row_order += rr[:k]
+    col_order += rc[:k]
+    diag = settled + [abs(a[t][t]) for t in range(k)]
+    # units divide everything and go first; the rest make a chain
+    units = [t for t, d in enumerate(diag) if d == 1]
+    chain = [t for t, d in enumerate(diag) if d != 1]
+    for n, i in enumerate(chain):
+        for j in chain[n + 1 :]:
             p, b = diag[i], diag[j]
             if (b % p if p else b) == 0:
                 continue
             # [[p, 0], [0, b]] -> [[g, 0], [0, p*b/g]]: add column j to
             # column i, a gcd step on the rows, then clear column j
             g, x, y = _xgcd(p, b)
-            col_track(rc[i], rc[j], 1, 1, 0, 1)
-            row_track(rr[i], rr[j], x, y, -b // g, p // g)
-            col_track(rc[j], rc[i], 1, -(y * b // g), 0, 1)
+            col_track(col_order[i], col_order[j], 1, 1, 0, 1)
+            row_track(row_order[i], row_order[j], x, y, -b // g, p // g)
+            col_track(col_order[j], col_order[i], 1, -(y * b // g), 0, 1)
             diag[i], diag[j] = g, p * b // g
 
-    row_order += rr
-    col_order += rc
+    order = units + chain
+    row_order = [row_order[t] for t in order] + rr[k:]
+    col_order = [col_order[t] for t in order] + rc[k:]
     uinv_cols = [_dense(uinv_t[i], R) for i in row_order]
     v_cols = [_dense(v_t[j], C) for j in col_order]
     return SmithForm(
         matrix=mat,
-        diagonal=(1,) * (C - len(rc)) + tuple(diag),
+        diagonal=tuple(diag[t] for t in order),
         left=IntMatrix._of(tuple(_dense(u[i], R) for i in row_order), R),
         right=IntMatrix._of(tuple(zip(*v_cols)) if v_cols else (), C),
         left_inverse=IntMatrix._of(tuple(zip(*uinv_cols)) if uinv_cols else (), R),

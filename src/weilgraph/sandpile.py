@@ -158,7 +158,9 @@ def _neighbor_lists(graph: MultiGraph) -> tuple[tuple[tuple[int, int], ...], ...
     return tuple(tuple(sorted(nb.items())) for nb in neigh)
 
 
-def _bfs_layers(graph: MultiGraph, base: int) -> list[int]:
+@lru_cache(maxsize=8192)
+def _burn_data(graph: MultiGraph, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # per-vertex non-loop degree, the half-width of the degree box, and
     # distance from base along non-loop edges; graph assumed connected
     neigh = _neighbor_lists(graph)
     dist = [-1] * graph.vertex_count
@@ -172,7 +174,8 @@ def _bfs_layers(graph: MultiGraph, base: int) -> list[int]:
                     dist[y] = dist[x] + 1
                     nxt.append(y)
         frontier = nxt
-    return dist
+    degree = tuple(sum(mult for _, mult in nb) for nb in neigh)
+    return degree, tuple(dist)
 
 
 @lru_cache(maxsize=4096)
@@ -240,14 +243,10 @@ def dhar_reduce(graph: MultiGraph, divisor: Divisor, base: int) -> Divisor:
         return divisor
 
     neigh = _neighbor_lists(graph)
+    degree, dist = _burn_data(graph, base)
     d = list(divisor.coefficients)
-    if any(
-        abs(c) > sum(mult for _, mult in nb)
-        for v, (c, nb) in enumerate(zip(d, neigh))
-        if v != base
-    ):
+    if any(abs(c) > deg for v, (c, deg) in enumerate(zip(d, degree)) if v != base):
         d = _principal_shift(graph, base, d)
-    dist = _bfs_layers(graph, base)
     depth = max(dist)
 
     # phase one: effective away from the base

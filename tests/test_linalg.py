@@ -254,6 +254,26 @@ def test_smith_transforms_verify():
         assert smith_normal_form(mat).verify()
 
 
+def test_smith_divisor_pivots():
+    # no unit entry anywhere: phase one pivots on entries that divide
+    # their row and column, or leaves the matrix to phase two
+    u = IntMatrix([[1, 1, 0], [2, 3, 2], [1, 4, 7]])
+    v = IntMatrix([[6, 4, 1], [4, 3, 1], [3, 2, 1]])
+    assert abs(u.det()) == abs(v.det()) == 1
+    scrambled = u @ IntMatrix([[2, 0, 0], [0, 4, 0], [0, 0, 12]]) @ v
+    cases = [
+        (IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]]), (2, 2, 2)),
+        (scrambled, (2, 4, 12)),
+        (IntMatrix([[3, 6, 0, 9, -3], [0, 3, 12, 6, 3], [6, 0, -3, 3, 9]]), (3, 3, 9)),
+        (IntMatrix([[0, 0, 0, 0], [0, 6, 4, 2], [0, -6, -4, -2]]), (2, 0, 0)),
+        (IntMatrix([[2, 0], [0, 3]]), (1, 6)),
+    ]
+    for mat, diagonal in cases:
+        snf = smith_normal_form(mat)
+        assert snf.diagonal == diagonal
+        assert snf.verify()
+
+
 def test_smith_random_property_sweep():
     rng = random.Random(23)
     for _ in range(250):
