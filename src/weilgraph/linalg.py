@@ -544,7 +544,6 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
     # phase one: pivots that divide their row and column
     row_order: list[int] = []
     col_order: list[int] = []
-    settled: list[int] = []
     active = list(range(R))
     while (pivot := _pivot(rows, cols, active)) is not None:
         p, q = pivot
@@ -575,7 +574,6 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
         active.remove(p)
         row_order.append(p)
         col_order.append(q)
-        settled.append(abs(s))
 
     # phase two: the dense remainder
     rr = active
@@ -597,9 +595,10 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
     for t in range(k):
         if a[t][t] < 0:
             negate_row(rr[t])
+    diag = [rows[p][q] for p, q in zip(row_order, col_order)]
+    diag += [abs(a[t][t]) for t in range(k)]
     row_order += rr[:k]
     col_order += rc[:k]
-    diag = settled + [abs(a[t][t]) for t in range(k)]
     # units divide everything and go first; the rest make a chain
     units = [t for t, d in enumerate(diag) if d == 1]
     chain = [t for t, d in enumerate(diag) if d != 1]
