@@ -158,7 +158,7 @@ def _neighbor_lists(graph: MultiGraph) -> tuple[tuple[tuple[int, int], ...], ...
     return tuple(tuple(sorted(nb.items())) for nb in neigh)
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=256)
 def _burn_data(graph: MultiGraph, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # per-vertex non-loop degree, the half-width of the degree box, and
     # distance from base along non-loop edges; graph assumed connected
