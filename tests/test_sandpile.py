@@ -292,34 +292,6 @@ def test_burning_survives_a_corrupted_smith_form(monkeypatch):
     assert [dhar_reduce(g, d, base) for g, d, base in cases] == clean
 
 
-def _random_multigraph(rng, edges):
-    while True:
-        n = rng.randint(2, edges)
-        g = MultiGraph(
-            n, tuple(tuple(sorted((rng.randrange(n), rng.randrange(n)))) for _ in range(edges))
-        )
-        if g.is_connected():
-            return g
-
-
-def test_smith_against_sympy_on_subdivided_laplacians():
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
-    # r stays at 2 or 3: sympy's own Smith form can take minutes at r = 4
-    # (89 s for one 57 x 57 reduced Laplacian on a 2-core machine, where
-    # smith_normal_form and verify took 0.04 s)
-    rng = random.Random(37)
-    for _ in range(25):
-        g = _random_multigraph(rng, rng.randint(8, 20))
-        child = g.subdivide(rng.randint(2, 3)).child
-        lap = reduced_laplacian(child, rng.randrange(child.vertex_count))
-        snf = smith_normal_form(lap)
-        oracle = sympy_snf(sympy.Matrix(lap.entries), domain=sympy.ZZ)
-        assert snf.diagonal == tuple(abs(int(oracle[i, i])) for i in range(lap.rows))
-        assert snf.verify()
-
-
 # Forty edges at r = 4: the 132 x 132 reduced Laplacian whose Smith form
 # once grew transform entries of over 380000 bits and took about 19 s.
 FORTY_EDGES = (
