@@ -48,10 +48,14 @@ _MODEL_SWEEP_CAP = 5
 # edge (15629 with 7 edges), so the sweeps past 8 edges would not finish.
 # A subdivision factor r on m edges gives a Smith form of size about r * m.
 # The Weil form of a model with graph genus h and vertex genera g_v has
-# dimension at most 2 h + 2 sum(g_v), and its report holds the whole Gram.
+# dimension at most 2 h + 2 sum(g_v), and its report holds the whole Gram;
+# the homology report holds the genus x genus Gram under the same ceiling.
+# Every command that reads a document builds per-vertex state, so the
+# vertex count is bounded before any graph is built.
 MAX_VERIFY_EDGES = 8
 MAX_SUBDIVIDED_EDGES = 400
 MAX_FORM_DIMENSION = 1000
+MAX_VERTICES = 1000
 
 
 def _read_document(path: str) -> InputDocument:
@@ -63,7 +67,10 @@ def _read_document(path: str) -> InputDocument:
                 text = fh.read()
         except OSError as err:
             raise DocumentError(f"cannot read {path}: {err}") from err
-    return InputDocument.parse(text)
+    doc = InputDocument.parse(text)
+    if doc.vertices > MAX_VERTICES:
+        raise DocumentError(f"vertices: {doc.vertices} is over {MAX_VERTICES}")
+    return doc
 
 
 def _parse_ints(text: str, what: str, noun: str) -> list[int]:
@@ -99,6 +106,9 @@ def _emit(report: Report, human_lines: list[str], as_json: bool) -> None:
 def cmd_homology(args) -> int:
     doc = _read_document(args.graph)
     graph = doc.graph()
+    genus = graph.genus()
+    if genus > MAX_FORM_DIMENSION:
+        raise DocumentError(f"genus {genus} is over {MAX_FORM_DIMENSION}")
     basis = homology_basis(graph)
     perfect, gram = is_perfect_pairing(graph)
 
@@ -218,7 +228,7 @@ def cmd_torsion(args) -> int:
         f" (graph contributes {payload['graph_genus']})",
         f"reduced graph genus: {payload['reduced_genus']}",
         f"two-torsion order: {payload['two_torsion_order']}",
-        f"full-size two-torsion: {'yes' if model.is_nondegenerate() else 'no'}",
+        f"full-size two-torsion: {'yes' if payload['nondegenerate'] else 'no'}",
         f"weil form dimension: {form.total_dim}"
         f" = {form.h_dim} + {form.component_dim} + {form.q_dim}",
         "gram matrix:",
@@ -339,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    p = sub.add_parser("homology", help="cycle/cocycle bases and Gram matrix")
+    p = sub.add_parser(
+        "homology",
+        help=f"cycle/cocycle bases and Gram matrix (genus at most {MAX_FORM_DIMENSION})",
+    )
     add_graph(p)
     p.set_defaults(func=cmd_homology)
 

@@ -1,9 +1,11 @@
 """Exact linear algebra: GF(2) matrices and integer Smith normal form.
 
 Two worlds live here.  ``GF2Matrix`` keeps each row as a Python int whose
-bit ``j`` is column ``j``: elimination XORs whole rows, and rank, kernel
-and solve follow deterministic conventions (free variables are set to
-zero, kernel vectors follow ascending free columns).  ``IntMatrix`` and
+bit ``j`` is column ``j``.  Its one elimination, ``_echelon``, XORs whole
+rows into a basis keyed by lowest set bit; kernel and solve add a
+back-substitution pass to the unique reduced echelon form, so their
+conventions are fixed (free variables are set to zero, kernel vectors
+follow ascending free columns).  ``IntMatrix`` and
 ``smith_normal_form`` work over native Python ints, because spanning-tree
 counts overflow fixed-width integers quickly; the Smith form carries
 unimodular transforms on both sides plus the inverse of the left one,
@@ -41,22 +43,6 @@ def _pack(values: Iterable[int]) -> int:
     return sum(1 << j for j, x in enumerate(values) if x & 1)
 
 
-def _row_reduce(rows: list[int], cols: int) -> list[int]:
-    """In-place reduced row echelon form of bit rows.  Returns pivot columns."""
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i] >> c & 1), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] >> c & 1:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-    return pivots
-
-
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
     """An echelon basis of the span of bit rows, keyed by lowest set bit."""
     basis: dict[int, int] = {}
@@ -78,6 +64,19 @@ def _reduce(row: int, basis: Mapping[int, int]) -> int:
     return row
 
 
+def _back_substitute(basis: Mapping[int, int]) -> dict[int, int]:
+    """The reduced echelon form of an ``_echelon`` basis, keyed by pivot bit:
+    highest pivot first, each row is cleared at every pivot above its own."""
+    reduced: dict[int, int] = {}
+    for pivot in sorted(basis, reverse=True):
+        row = basis[pivot]
+        for bit, done in reduced.items():
+            if row & bit:
+                row ^= done
+        reduced[pivot] = row
+    return reduced
+
+
 class GF2Matrix:
     """Immutable dense matrix over GF(2), built from nested rows of integers
     reduced mod 2 (``cols`` sets the width when there are no rows).  Row
@@ -91,6 +90,8 @@ class GF2Matrix:
         except TypeError:
             raise ValueError("GF2Matrix needs nested rows") from None
         width = len(rows[0]) if rows else (cols or 0)
+        if width < 0:
+            raise ValueError(f"negative width {width}")
         if any(len(row) != width for row in rows) or cols not in (None, width):
             raise ValueError("ragged rows, or cols disagrees with the row width")
         self._bits = tuple(map(_pack, rows))
@@ -169,26 +170,22 @@ class GF2Matrix:
         vector sets its free variable to one, all other free variables to
         zero, and back-substitutes the pivots.
         """
-        reduced = list(self._bits)
-        pivots = _row_reduce(reduced, self.cols)
-        basis = []
-        for f in sorted(set(range(self.cols)).difference(pivots)):
-            vec = {p: row >> f & 1 for row, p in zip(reduced, pivots)}
-            vec[f] = 1
-            basis.append(tuple(vec.get(j, 0) for j in range(self.cols)))
-        return tuple(basis)
+        reduced = _back_substitute(_echelon(self._bits))
+        free = (f for f in range(self.cols) if 1 << f not in reduced)
+        vecs = (1 << f | sum(p for p, row in reduced.items() if row >> f & 1) for f in free)
+        return tuple(tuple(v >> j & 1 for j in range(self.cols)) for v in vecs)
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of ``A x = b`` or None.  Free variables are zero."""
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
         n = self.cols
-        aug = [row | (int(x) & 1) << n for row, x in zip(self._bits, b)]
-        pivots = _row_reduce(aug, n + 1)
-        if pivots and pivots[-1] == n:
+        aug = (row | (int(x) & 1) << n for row, x in zip(self._bits, b))
+        reduced = _back_substitute(_echelon(aug))
+        if 1 << n in reduced:
             return None
-        x = {p: row >> n & 1 for row, p in zip(aug, pivots)}
-        return tuple(x.get(j, 0) for j in range(n))
+        x = sum(p for p, row in reduced.items() if row >> n & 1)
+        return tuple(x >> j & 1 for j in range(n))
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self._bits == self.transpose()._bits
@@ -231,6 +228,8 @@ class IntMatrix:
             if cols is not None and cols != width:
                 raise ValueError("cols disagrees with row width")
             self._cols = width
+        elif cols is not None and int(cols) < 0:
+            raise ValueError(f"negative width {cols}")
         else:
             self._cols = 0 if cols is None else int(cols)
         self.entries = rows

@@ -26,6 +26,10 @@ even edges (``curvemodel``'s cache, keyed on the graph and that set).  Per
 instance: one double cover and its connectivity, one reduction of the
 cochain against the coboundary basis, one lift and one parity per simple
 cycle, and one Weil form with all of its checks per model.
+
+The model sweep's cover check pairs the cocycles of each all-even model
+with its fundamental cycles (one non-forest edge closed by a forest path),
+which are simple and go through the cover whole.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .homology import (
     Chain1,
     Cochain1,
     _parity,
-    decompose_cycles,
     is_perfect_pairing,
     is_simple_cycle,
 )
@@ -231,7 +234,7 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
     non-separating edges are even), invertibility of the Gram against the
     same criterion, the Gram being alternating, the h block isotropic and
     orthogonal to the component block, and, on all-even genus-free models,
-    the h x q Gram entries against the double-cover pairing.
+    the h x q Gram entries against the cover pairing of fundamental cycles.
     """
     res = SweepResult("torsion-order-and-form")
     fault = inject_fault
@@ -282,8 +285,7 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
                     for j, alpha in enumerate(form.reduced_cycles):
                         res.instances += 1
                         expected = form.gram.entry(i, h + c + j)
-                        pieces = all_simple_pieces_pairing(graph, gamma, alpha)
-                        if pieces != expected:
+                        if pairing_via_cover(graph, gamma, alpha) != expected:
                             res.record(
                                 kind="cover-consistency",
                                 graph=graph.edges,
@@ -291,18 +293,6 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
                                 alpha=sorted(alpha.edges),
                             )
     return res
-
-
-def all_simple_pieces_pairing(graph: MultiGraph, gamma: Cochain1, alpha: Chain1) -> int:
-    """Pair a not-necessarily-simple cycle through covers, piece by piece.
-
-    Splits the cycle into edge-disjoint simple cycles and sums the
-    cover-route bits; bilinearity makes that the pairing of the whole.
-    """
-    total = 0
-    for piece in decompose_cycles(alpha):
-        total ^= pairing_via_cover(graph, gamma, piece)
-    return total
 
 
 def torsion_sweep(

@@ -7,7 +7,13 @@ import sys
 import pytest
 
 from weilgraph import InputDocument, Report
-from weilgraph.cli import MAX_FORM_DIMENSION, MAX_SUBDIVIDED_EDGES, MAX_VERIFY_EDGES, main
+from weilgraph.cli import (
+    MAX_FORM_DIMENSION,
+    MAX_SUBDIVIDED_EDGES,
+    MAX_VERIFY_EDGES,
+    MAX_VERTICES,
+    main,
+)
 
 THETA = '{"vertices": 2, "edges": [[0, 1], [0, 1], [0, 1]]}'
 THETA_MODEL = (
@@ -263,3 +269,41 @@ def test_torsion_form_dimension_ceiling(tmp_path, capsys):
     payload = Report.from_json(capsys.readouterr().out.strip()).payload
     assert payload["form_dimension"] == MAX_FORM_DIMENSION
     assert payload["invertible"] is True
+
+
+@pytest.mark.parametrize("command", ["homology", "cover", "torsion", "tropical"])
+def test_vertex_ceiling(command, tmp_path, capsys):
+    # a huge vertex count fails before any per-vertex state is built
+    path = tmp_path / "doc.json"
+    for n in (MAX_VERTICES + 1, 10**8):
+        path.write_text(json.dumps({"vertices": n, "edges": []}))
+        assert main([command, "--graph", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"vertices: {n} is over {MAX_VERTICES}" in captured.err
+    # a path on MAX_VERTICES vertices passes; its edges are past tropical's
+    # own subdivision ceiling
+    edges = [[v, v + 1] for v in range(MAX_VERTICES - 1)]
+    path.write_text(json.dumps({"vertices": MAX_VERTICES, "edges": edges}))
+    code = main([command, "--graph", str(path), "--json"])
+    captured = capsys.readouterr()
+    if command == "tropical":
+        assert code == 2
+        assert "r x edges" in captured.err
+    else:
+        assert code == 0
+        assert captured.err == ""
+
+
+def test_homology_genus_ceiling(tmp_path, capsys):
+    # the genus x genus Gram may reach the form ceiling but not pass it
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"vertices": 1, "edges": [[0, 0]] * (MAX_FORM_DIMENSION + 1)}))
+    assert main(["homology", "--graph", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"genus {MAX_FORM_DIMENSION + 1} is over {MAX_FORM_DIMENSION}" in captured.err
+    path.write_text(json.dumps({"vertices": 1, "edges": [[0, 0]] * MAX_FORM_DIMENSION}))
+    assert main(["homology", "--graph", str(path), "--json"]) == 0
+    payload = Report.from_json(capsys.readouterr().out.strip()).payload
+    assert payload["genus"] == len(payload["gram"]) == MAX_FORM_DIMENSION

@@ -74,6 +74,7 @@ def test_decorations_round_trip():
         '{"vertices": 2, "edges": [[0, 1]], "stabilizers": []}',
         '{"vertices": 2, "edges": [[0, 1]], "stabilizers": [0]}',
         '{"vertices": 2, "edges": [[0, 1]], "stabilizers": [1.5]}',
+        pytest.param('{"vertices": 1%s, "edges": []}' % ("0" * 5000), id="5001-digit-int"),
     ],
 )
 def test_rejects_malformed(raw):
@@ -108,6 +109,11 @@ def test_report_round_trip():
         '{"command": 1, "input_digest": "x", "payload": {}, "schema_version": 1}',
         '{"command": "t", "input_digest": "x", "payload": {}, "schema_version": 2}',
         '{"command": "t", "input_digest": "x", "payload": {}, "schema_version": 1, "y": 0}',
+        pytest.param(
+            '{"command": "t", "input_digest": "x", "payload": {}, "schema_version": 1%s}'
+            % ("0" * 5000),
+            id="5001-digit-int",
+        ),
     ],
 )
 def test_report_rejects_malformed(raw):

@@ -92,6 +92,8 @@ def test_gf2_entries_and_empty_shapes():
     with pytest.raises(ValueError):
         GF2Matrix([[0, 0]], cols=3)
     assert GF2Matrix([], cols=2) != GF2Matrix([], cols=3)
+    with pytest.raises(ValueError):
+        GF2Matrix([], cols=-2)
 
 
 def test_gf2_kernel_and_solve_against_enumeration():
@@ -197,6 +199,10 @@ def test_intmatrix_shapes_and_identity():
     assert IntMatrix.zeros(2, 3).cols == 3
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        IntMatrix((), cols=-3)
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]], cols=-2)
 
 
 def test_intmatrix_matmul_and_transpose():

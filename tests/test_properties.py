@@ -5,9 +5,10 @@ multigraphs with 8 to 40 edges, loops and parallel edges included, and
 check that the canonical pairing Gram is the identity, that the cover
 route agrees with the support-parity pairing on fundamental cycles, that
 burning agrees with an exact rational solve and is idempotent, that
-the critical group has one element per spanning tree, and that the Smith
+the critical group has one element per spanning tree, that the Smith
 form of subdivided reduced Laplacians, and of their multiples, agrees
-with sympy's.
+with sympy's, and that the 2-torsion count of a decorated model meets
+the Weil form and the nondegeneracy criterion.
 """
 
 from operator import mul
@@ -25,6 +26,7 @@ from weilgraph import (  # noqa: E402
     GF2Matrix,
     IntMatrix,
     MultiGraph,
+    TwistedCurveModel,
     build_double_cover,
     critical_group,
     dhar_reduce,
@@ -155,3 +157,20 @@ def test_smith_agrees_with_sympy_on_subdivided_laplacians(graph, r, k, data):
     oracle = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
     assert snf.diagonal == tuple(abs(int(oracle[i, i])) for i in range(len(rows)))
     assert snf.verify()
+
+
+@PROPERTY_SETTINGS
+@given(connected_multigraphs(), st.data())
+def test_two_torsion_criterion(graph, data):
+    n, m = graph.vertex_count, graph.edge_count
+    genera = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    orders = data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    model = TwistedCurveModel(graph, genera, orders)
+    form = model.weil_form()
+    order = model.two_torsion_order()
+    nondegenerate = model.is_nondegenerate()
+    assert order == 2**form.total_dim
+    assert (order == 2 ** (2 * model.arithmetic_genus())) == nondegenerate
+    assert form.gram.is_invertible() == nondegenerate
+    assert form.is_alternating()
+    assert form.gram.block_is_zero(range(form.h_dim), range(form.h_dim))
