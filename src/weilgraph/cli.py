@@ -50,12 +50,15 @@ _MODEL_SWEEP_CAP = 5
 # The Weil form of a model with graph genus h and vertex genera g_v has
 # dimension at most 2 h + 2 sum(g_v), and its report holds the whole Gram;
 # the homology report holds the genus x genus Gram under the same ceiling.
-# Every command that reads a document builds per-vertex state, so the
-# vertex count is bounded before any graph is built.
+# Every command that reads a document builds per-vertex and per-edge
+# state, so the vertex and edge counts are bounded before any graph is
+# built.  The edge ceiling rejects nothing the other ceilings let through:
+# genus and vertices of at most 1000 each allow at most 1999 edges.
 MAX_VERIFY_EDGES = 8
 MAX_SUBDIVIDED_EDGES = 400
 MAX_FORM_DIMENSION = 1000
 MAX_VERTICES = 1000
+MAX_EDGES = 2000
 
 
 def _read_document(path: str) -> InputDocument:
@@ -70,6 +73,8 @@ def _read_document(path: str) -> InputDocument:
     doc = InputDocument.parse(text)
     if doc.vertices > MAX_VERTICES:
         raise DocumentError(f"vertices: {doc.vertices} is over {MAX_VERTICES}")
+    if len(doc.edges) > MAX_EDGES:
+        raise DocumentError(f"edges: {len(doc.edges)} is over {MAX_EDGES}")
     return doc
 
 

@@ -7,10 +7,12 @@ back-substitution pass to the unique reduced echelon form, so their
 conventions are fixed (free variables are set to zero, kernel vectors
 follow ascending free columns).  ``IntMatrix`` and
 ``smith_normal_form`` work over native Python ints, because spanning-tree
-counts overflow fixed-width integers quickly; the Smith form carries
-unimodular transforms on both sides plus the inverse of the left one,
-which the critical-group generators and the principal shift of burning
-consume.  Its elimination pivots on any entry that divides its whole row
+counts overflow fixed-width integers quickly.  The Smith form carries
+unimodular transforms on both sides plus the inverse of the left one.
+The inverse is built during elimination, since every critical group reads
+its generators from it; the two transforms, which only the principal shift
+of burning reads, are built from the recorded elimination steps on first
+read.  Its elimination pivots on any entry that divides its whole row
 and column, units first; the pivots it settles need not divide one
 another, and gcd steps on pairs of diagonal entries restore the chain at
 the end (see ``smith_normal_form``).
@@ -19,8 +21,8 @@ the end (see ``smith_normal_form``).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -320,15 +322,45 @@ class SmithForm:
     """Smith normal form ``left @ matrix @ right == diag(diagonal)``.
 
     ``left`` and ``right`` are unimodular; ``left_inverse`` is the exact
-    inverse of ``left`` (tracked during elimination, not recomputed).
-    Diagonal entries are non-negative, each divides the next, zeros trail.
+    inverse of ``left``.  Diagonal entries are non-negative, each divides
+    the next, zeros trail.
+
+    ``left_inverse`` is built during elimination: every critical group
+    reads its generators from it.  Only burning's principal shift reads
+    ``left`` and ``right``, so the form is given the elimination's steps
+    in order instead: ``row_steps`` and ``col_steps``, each ``(i, j, c)``
+    for ``ri += c * rj``, ``(i, j, x, y, z, w)`` for ``ri, rj = x*ri +
+    y*rj, z*ri + w*rj``, or ``(i,)`` for ``ri = -ri``.  The first read of
+    ``left`` replays the row steps on the identity and takes its rows in
+    ``row_order``; ``right`` does the same with columns.  Each is kept on
+    the form and its steps dropped.
     """
 
     matrix: IntMatrix
     diagonal: tuple[int, ...]
-    left: IntMatrix
-    right: IntMatrix
     left_inverse: IntMatrix
+    row_steps: InitVar[tuple[tuple[int, ...], ...]]
+    col_steps: InitVar[tuple[tuple[int, ...], ...]]
+    row_order: InitVar[tuple[int, ...]]
+    col_order: InitVar[tuple[int, ...]]
+
+    def __post_init__(self, row_steps, col_steps, row_order, col_order):
+        vars(self).update(_left_record=(row_steps, row_order), _right_record=(col_steps, col_order))
+
+    @cached_property
+    def left(self) -> IntMatrix:
+        steps, order = vars(self).pop("_left_record")
+        n = self.matrix.rows
+        rows = _replay(steps, n)
+        return IntMatrix._of(tuple(_dense(rows[i], n) for i in order), n)
+
+    @cached_property
+    def right(self) -> IntMatrix:
+        steps, order = vars(self).pop("_right_record")
+        n = self.matrix.cols
+        cols = _replay(steps, n)
+        picked = [_dense(cols[j], n) for j in order]
+        return IntMatrix._of(tuple(zip(*picked)) if picked else (), n)
 
     def diagonal_matrix(self) -> IntMatrix:
         r, c = self.matrix.rows, self.matrix.cols
@@ -383,6 +415,22 @@ def _combine(rows: list[dict[int, int]], i: int, j: int, x: int, y: int, z: int,
                 rows[i][k] = x * p + y * q
             if z * p + w * q:
                 rows[j][k] = z * p + w * q
+
+
+def _replay(steps: Iterable[tuple[int, ...]], n: int) -> list[dict[int, int]]:
+    """The sparse rows of the ``n x n`` identity put through recorded
+    steps, as ``SmithForm`` describes them."""
+    rows = [{i: 1} for i in range(n)]
+    for step in steps:
+        if len(step) == 3:
+            i, j, c = step
+            _axpy(rows[i], rows[j], c)
+        elif len(step) == 1:
+            (i,) = step
+            rows[i] = {k: -x for k, x in rows[i].items()}
+        else:
+            _combine(rows, *step)
+    return rows
 
 
 def _dense(row: dict[int, int], n: int) -> tuple[int, ...]:
@@ -451,31 +499,33 @@ def _hermite(m: list[list[int]], ids: list[int], track) -> None:
                     op(k2, k, 1, -q, 0, 1)
 
 
-def _pivot(
+def _unit_pivot(
+    rows: list[dict[int, int]], cols: list[set[int]], i: int
+) -> tuple[int, int, int] | None:
+    """Row ``i``'s best unit pivot ``(cost, i, column)``, or None without a
+    unit: least Markowitz cost ``(row nnz - 1) * (column nnz - 1)``, then
+    lowest column.  Within one row the cost grows with the column count."""
+    best = None
+    for j, x in rows[i].items():
+        if x == 1 or x == -1:
+            count = len(cols[j])
+            if best is None or count < best[0] or count == best[0] and j < best[1]:
+                best = count, j
+    if best is None:
+        return None
+    return (len(rows[i]) - 1) * (best[0] - 1), i, best[1]
+
+
+def _divisor_pivot(
     rows: list[dict[int, int]], cols: list[set[int]], active: list[int]
 ) -> tuple[int, int] | None:
-    """Phase one's next pivot ``(row, column)``, or None when there is none.
-
-    Among the entries ``x`` of the active rows that divide every entry of
-    their row and column, the least by ``|x|``, then Markowitz cost
-    ``(row nnz - 1) * (column nnz - 1)``, then row, then column.  A unit
-    divides everything, so units are searched first and without any
-    divisibility test; a row holds a candidate only at entries of absolute
-    value equal to its gcd.
+    """Among the entries ``x`` of the active rows that divide every entry
+    of their row and column, the least by ``|x|``, then Markowitz cost,
+    then row, then column, as ``(row, column)``; None when there is none.
+    A row holds a candidate only at entries of absolute value equal to
+    its gcd.
     """
     best = None
-    for i in active:
-        row = rows[i]
-        rest = len(row) - 1
-        for j, x in row.items():
-            if x == 1 or x == -1:
-                key = (rest * (len(cols[j]) - 1), i, j)
-                if best is None or key < best:
-                    best = key
-        if best is not None and best[0] == 0:
-            break
-    if best is not None:
-        return best[1:]
     for i in active:
         row = rows[i]
         g = gcd(*row.values())
@@ -502,9 +552,11 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
     Such a pivot clears its row and column in one pass with exact
     quotients and settles ``|x|`` as a diagonal entry.  Units come first,
     and on the Laplacians this package feeds it every subdivision vertex
-    brings them; the divisor pivots that follow leave the second phase a
-    few rows.  That phase brings the dense remainder to a diagonal by
-    alternating row and column Hermite forms.
+    brings them.  Each active row keeps its best unit pivot, recomputed
+    only when the row or the count of a column it meets changes; divisors
+    are scanned for only when no unit is left.  They leave the second
+    phase a few rows, which it brings to a diagonal by alternating row and
+    column Hermite forms.
 
     A divisor pivot need not divide the rest of the matrix, so the settled
     entries do not yet form a chain.  The matrix is now equivalent to a
@@ -513,10 +565,11 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
     second phase's diagonal together, makes each entry divide the next,
     zeros last.  Units divide everything and stay in front.
 
-    ``left`` and the transposes of ``left_inverse`` and ``right`` are kept
-    as sparse rows, so every tracked operation is a row operation; row
-    and column swaps only reorder the final positions.  Output is
-    deterministic for a given input.
+    ``left_inverse`` is kept as the sparse rows of its transpose and
+    updated at each step; a phase-one step changes one entry.  The steps
+    are recorded, and ``left`` and ``right`` are built from them on first
+    read (see ``SmithForm``).  Row and column swaps only reorder the final
+    positions.  Output is deterministic for a given input.
     """
     R, C = mat.rows, mat.cols
     rows = [{j: x for j, x in enumerate(row) if x} for row in mat.entries]
@@ -524,31 +577,40 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    u = [{i: 1} for i in range(R)]  # rows of left
     uinv_t = [{i: 1} for i in range(R)]  # rows of left_inverse's transpose
-    v_t = [{j: 1} for j in range(C)]  # rows of right's transpose
+    row_steps: list[tuple[int, ...]] = []
+    col_steps: list[tuple[int, ...]] = []
 
     def row_track(i, j, x, y, z, w):
-        # rows i, j of the matrix combine as given: so do those of left,
-        # and left_inverse's columns i, j undo it by the inverse-transpose
-        _combine(u, i, j, x, y, z, w)
+        # rows i, j of the matrix combine as given: left replays the step
+        # later, and left_inverse's columns i, j undo it now by the
+        # inverse-transpose
+        row_steps.append((i, j, x, y, z, w))
         _combine(uinv_t, i, j, w, -z, -y, x)
 
-    col_track = partial(_combine, v_t)
+    def col_track(*step):
+        col_steps.append(step)
 
     def negate_row(i):
-        u[i] = {k: -x for k, x in u[i].items()}
+        row_steps.append((i,))
         uinv_t[i] = {k: -x for k, x in uinv_t[i].items()}
 
     # phase one: pivots that divide their row and column
     row_order: list[int] = []
     col_order: list[int] = []
     active = list(range(R))
-    while (pivot := _pivot(rows, cols, active)) is not None:
-        p, q = pivot
+    best = {i: u for i in active if (u := _unit_pivot(rows, cols, i)) is not None}
+    while True:
+        if best:
+            _, p, q = min(best.values())
+        elif (pivot := _divisor_pivot(rows, cols, active)) is not None:
+            p, q = pivot
+        else:
+            break
         prow = rows[p]
         s = prow[q]
-        for i in [i for i in cols[q] if i != p]:
+        below = [i for i in cols[q] if i != p]
+        for i in below:
             c = -(rows[i][q] // s)
             row = rows[i]
             for j, x in prow.items():
@@ -560,19 +622,30 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
                 else:
                     del row[j]
                     cols[j].discard(i)
-            row_track(i, p, 1, c, 0, 1)
+            # row i += c * row p, so left_inverse's column p -= c * column i
+            row_steps.append((i, p, c))
+            _axpy(uinv_t[p], uinv_t[i], -c)
         # column q is now zero off the pivot, so clearing row p by column
         # operations changes nothing else in the matrix
+        changed = set(below)
         for j, x in prow.items():
             if j != q:
-                col_track(j, q, 1, -(x // s), 0, 1)
+                col_steps.append((j, q, -(x // s)))
                 cols[j].discard(p)
+                changed.update(cols[j])
         if s < 0:
             negate_row(p)
         rows[p] = {q: abs(s)}
         active.remove(p)
         row_order.append(p)
         col_order.append(q)
+        # the rows that changed, and those meeting a column whose count did
+        best.pop(p, None)
+        for i in changed:
+            if (u := _unit_pivot(rows, cols, i)) is not None:
+                best[i] = u
+            else:
+                best.pop(i, None)
 
     # phase two: the dense remainder
     rr = active
@@ -618,11 +691,12 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
     row_order = [row_order[t] for t in order] + rr[k:]
     col_order = [col_order[t] for t in order] + rc[k:]
     uinv_cols = [_dense(uinv_t[i], R) for i in row_order]
-    v_cols = [_dense(v_t[j], C) for j in col_order]
     return SmithForm(
         matrix=mat,
         diagonal=tuple(diag[t] for t in order),
-        left=IntMatrix._of(tuple(_dense(u[i], R) for i in row_order), R),
-        right=IntMatrix._of(tuple(zip(*v_cols)) if v_cols else (), C),
         left_inverse=IntMatrix._of(tuple(zip(*uinv_cols)) if uinv_cols else (), R),
+        row_steps=tuple(row_steps),
+        col_steps=tuple(col_steps),
+        row_order=tuple(row_order),
+        col_order=tuple(col_order),
     )

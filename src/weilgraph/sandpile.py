@@ -161,7 +161,7 @@ def _neighbor_lists(graph: MultiGraph) -> tuple[tuple[tuple[int, int], ...], ...
 @lru_cache(maxsize=256)
 def _burn_data(graph: MultiGraph, base: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # per-vertex non-loop degree, the half-width of the degree box, and
-    # distance from base along non-loop edges; graph assumed connected
+    # distance from base along non-loop edges, -1 where base never reaches
     neigh = _neighbor_lists(graph)
     dist = [-1] * graph.vertex_count
     dist[base] = 0
@@ -234,16 +234,16 @@ def dhar_reduce(graph: MultiGraph, divisor: Divisor, base: int) -> Divisor:
     """
     if divisor.graph != graph:
         raise ValueError("divisor lives on a different graph")
-    if not graph.is_connected():
-        raise ValueError("reduction needs a connected graph")
     n = graph.vertex_count
     if not (0 <= base < n):
         raise ValueError("base vertex out of range")
+    degree, dist = _burn_data(graph, base)
+    if -1 in dist:
+        raise ValueError("reduction needs a connected graph")
     if n == 1:
         return divisor
 
     neigh = _neighbor_lists(graph)
-    degree, dist = _burn_data(graph, base)
     d = list(divisor.coefficients)
     if any(abs(c) > deg for v, (c, deg) in enumerate(zip(d, degree)) if v != base):
         d = _principal_shift(graph, base, d)

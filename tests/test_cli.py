@@ -8,6 +8,7 @@ import pytest
 
 from weilgraph import InputDocument, Report
 from weilgraph.cli import (
+    MAX_EDGES,
     MAX_FORM_DIMENSION,
     MAX_SUBDIVIDED_EDGES,
     MAX_VERIFY_EDGES,
@@ -293,6 +294,31 @@ def test_vertex_ceiling(command, tmp_path, capsys):
     else:
         assert code == 0
         assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["homology", "cover", "torsion", "tropical"])
+def test_edge_ceiling(command, tmp_path, capsys):
+    # parallel edges on two vertices: past the ceiling no command builds a
+    # graph; at it, cover runs and the others stop at their own ceilings
+    path = tmp_path / "doc.json"
+    argv = [command, "--graph", str(path), "--json"]
+    if command == "cover":
+        argv += ["--gamma", "0"]
+    for m in (MAX_EDGES + 1, 100_000):
+        path.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]] * m}))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"edges: {m} is over {MAX_EDGES}" in captured.err
+    path.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]] * MAX_EDGES}))
+    code = main(argv)
+    captured = capsys.readouterr()
+    if command == "cover":
+        assert code == 0
+        assert captured.err == ""
+    else:
+        assert code == 2
+        assert f"over {MAX_EDGES}" not in captured.err
 
 
 def test_homology_genus_ceiling(tmp_path, capsys):

@@ -12,7 +12,7 @@ from math import gcd, prod
 
 import pytest
 
-from weilgraph import GF2Matrix, IntMatrix, smith_normal_form
+from weilgraph import GF2Matrix, IntMatrix, reduced_laplacian, smith_normal_form, theta_graph
 
 
 # -- GF(2) -------------------------------------------------------------------
@@ -260,22 +260,87 @@ def test_smith_transforms_verify():
         assert smith_normal_form(mat).verify()
 
 
-def test_smith_divisor_pivots():
-    # no unit entry anywhere: phase one pivots on entries that divide
-    # their row and column, or leaves the matrix to phase two
+def _scrambled_diagonal():
+    # diag(2, 4, 12) as U·D·V with fixed unimodular U and V
     u = IntMatrix([[1, 1, 0], [2, 3, 2], [1, 4, 7]])
     v = IntMatrix([[6, 4, 1], [4, 3, 1], [3, 2, 1]])
     assert abs(u.det()) == abs(v.det()) == 1
-    scrambled = u @ IntMatrix([[2, 0, 0], [0, 4, 0], [0, 0, 12]]) @ v
+    return u @ IntMatrix([[2, 0, 0], [0, 4, 0], [0, 0, 12]]) @ v
+
+
+def test_smith_divisor_pivots():
+    # no unit entry anywhere: phase one pivots on entries that divide
+    # their row and column, or leaves the matrix to phase two
     cases = [
         (IntMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]]), (2, 2, 2)),
-        (scrambled, (2, 4, 12)),
+        (_scrambled_diagonal(), (2, 4, 12)),
         (IntMatrix([[3, 6, 0, 9, -3], [0, 3, 12, 6, 3], [6, 0, -3, 3, 9]]), (3, 3, 9)),
         (IntMatrix([[0, 0, 0, 0], [0, 6, 4, 2], [0, -6, -4, -2]]), (2, 0, 0)),
     ]
     for mat, diagonal in cases:
         snf = smith_normal_form(mat)
         assert snf.diagonal == diagonal
+        assert snf.verify()
+
+
+def test_smith_transforms_pinned():
+    # the witnesses entry for entry, not only the diagonal: any change to
+    # the pivot order, the steps or the way left and right are rebuilt shows
+    k4 = IntMatrix([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
+    theta = reduced_laplacian(theta_graph().subdivide(3).child, 0)
+    cases = [
+        (
+            k4,
+            (1, 4, 4),
+            ((-1, 0, 0), (-3, -1, 0), (2, 1, 1)),
+            ((0, 0, 1), (1, -1, 1), (0, 1, 2)),
+            ((-1, 0, 0), (3, -1, 0), (-1, 1, 1)),
+        ),
+        (
+            theta,
+            (1, 1, 1, 1, 1, 3, 9),
+            (
+                (0, -1, 0, 0, 0, 0, 0),
+                (0, 0, 0, -1, 0, 0, 0),
+                (0, 0, 0, 0, 0, -1, 0),
+                (0, -2, -1, 0, 0, 0, 0),
+                (1, 1, 1, 1, 1, 1, 1),
+                (3, 1, 2, 3, 3, 5, 4),
+                (3, 1, 2, 1, 2, 7, 5),
+            ),
+            (
+                (0, 0, 0, 1, 3, -3, 3),
+                (0, 0, 0, 0, 1, -1, 1),
+                (1, 0, 0, 0, 2, -2, 2),
+                (0, 0, 0, 0, 0, 1, -2),
+                (0, 1, 0, 0, 0, 2, -4),
+                (0, 0, 0, 0, 0, 0, 1),
+                (0, 0, 1, 0, 0, 0, 2),
+            ),
+            (
+                (-1, -1, -1, 3, 7, -3, 1),
+                (-1, 0, 0, 0, 0, 0, 0),
+                (2, 0, 0, -1, 0, 0, 0),
+                (0, -1, 0, 0, 0, 0, 0),
+                (0, 2, 0, -1, -3, 2, -1),
+                (0, 0, -1, 0, 0, 0, 0),
+                (0, 0, 2, -1, -3, 1, 0),
+            ),
+        ),
+        (
+            _scrambled_diagonal(),
+            (2, 4, 12),
+            ((-63, 35, -10), (-88, 49, -14), (-155, 87, -25)),
+            ((0, 0, -1), (-1, 1, 2), (1, 0, -2)),
+            ((-7, 5, 0), (-30, 25, -2), (-61, 56, -7)),
+        ),
+    ]
+    for mat, diagonal, left, right, left_inverse in cases:
+        snf = smith_normal_form(mat)
+        assert snf.diagonal == diagonal
+        assert snf.left.entries == left
+        assert snf.right.entries == right
+        assert snf.left_inverse.entries == left_inverse
         assert snf.verify()
 
 

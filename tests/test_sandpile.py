@@ -1,7 +1,7 @@
 """Chip firing: reduced divisors, critical groups, torsion on subdivisions."""
 
+import copy
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -25,7 +25,7 @@ from weilgraph import (
     torsion_sweep,
     verify_torsion_on_subdivision,
 )
-from weilgraph import sandpile
+from weilgraph import linalg, sandpile
 from weilgraph.sandpile import _principal_shift
 
 K4 = MultiGraph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
@@ -263,6 +263,37 @@ def test_principal_shift_preserves_class():
                 assert abs(shifted[v]) <= g.degree(v)
 
 
+def test_generators_leave_left_and_right_unbuilt(monkeypatch):
+    # generators come from left_inverse alone: left and right are replayed
+    # from the recorded steps only when something, like the shift, reads them
+    replayed = []
+    honest = linalg._replay
+
+    def spy(steps, n):
+        replayed.append(n)
+        return honest(steps, n)
+
+    monkeypatch.setattr(linalg, "_replay", spy)
+    sandpile._reduced_smith.cache_clear()
+    rep = verify_torsion_on_subdivision(theta_graph(), 3)
+    assert rep.verdict and rep.invariant_factors == (3, 9)
+    assert critical_group(K4).invariant_factors == (4, 4)
+    assert not replayed
+    for graph in (rep.subdivision.child, K4):
+        snf = sandpile._reduced_smith(graph, 0)
+        assert "left" not in vars(snf) and "right" not in vars(snf)
+        assert snf.verify()
+    assert replayed == [7, 7, 3, 3]
+
+
+def _with_transforms(snf, **transforms):
+    # a copy of a Smith form whose named transforms read as given; left and
+    # right are built on first read, so dataclasses.replace cannot set them
+    form = copy.copy(snf)
+    vars(form).update(transforms)
+    return form
+
+
 def test_burning_survives_a_corrupted_smith_form(monkeypatch):
     # the shift reads the cached Smith form, but any integer firing keeps
     # the class: garbage transforms may slow burning, never change it
@@ -284,7 +315,7 @@ def test_burning_survives_a_corrupted_smith_form(monkeypatch):
 
     def corrupted(g, base):
         snf = honest(g, base)
-        return replace(snf, left=noise(snf.left), right=noise(snf.right))
+        return _with_transforms(snf, left=noise(snf.left), right=noise(snf.right))
 
     monkeypatch.setattr(sandpile, "_reduced_smith", corrupted)
     shifts = [_principal_shift(g, base, list(d.coefficients)) for g, d, base in cases]
@@ -359,7 +390,9 @@ def _corrupt_smith(monkeypatch, *fields):
 
     def corrupted(g, base):
         snf = honest(g, base)
-        return replace(snf, **{name: bump_first_row(getattr(snf, name)) for name in fields})
+        return _with_transforms(
+            snf, **{name: bump_first_row(getattr(snf, name)) for name in fields}
+        )
 
     monkeypatch.setattr(sandpile, "_reduced_smith", corrupted)
 
