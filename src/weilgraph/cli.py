@@ -68,7 +68,7 @@ def _read_document(path: str) -> InputDocument:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise DocumentError(f"cannot read {path}: {err}") from err
     doc = InputDocument.parse(text)
     if doc.vertices > MAX_VERTICES:
@@ -198,8 +198,11 @@ def cmd_cover(args) -> int:
         if args.dot == "-":
             print(dot, end="")
         else:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(dot)
+            try:
+                with open(args.dot, "w", encoding="utf-8") as fh:
+                    fh.write(dot)
+            except OSError as err:
+                raise DocumentError(f"cannot write {args.dot}: {err}") from err
             lines.append(f"wrote {args.dot}")
 
     _emit(Report("cover", doc.digest(), payload), lines, args.json)

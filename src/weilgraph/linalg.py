@@ -21,7 +21,7 @@ the end (see ``smith_normal_form``).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from operator import mul
@@ -327,36 +327,31 @@ class SmithForm:
 
     ``left_inverse`` is built during elimination: every critical group
     reads its generators from it.  Only burning's principal shift reads
-    ``left`` and ``right``, so the form is given the elimination's steps
-    in order instead: ``row_steps`` and ``col_steps``, each ``(i, j, c)``
-    for ``ri += c * rj``, ``(i, j, x, y, z, w)`` for ``ri, rj = x*ri +
-    y*rj, z*ri + w*rj``, or ``(i,)`` for ``ri = -ri``.  The first read of
-    ``left`` replays the row steps on the identity and takes its rows in
-    ``row_order``; ``right`` does the same with columns.  Each is kept on
-    the form and its steps dropped.
+    ``left`` and ``right``, so the form keeps the elimination's steps in
+    order instead, as ``(steps, order)`` records private to this module:
+    each step is ``(i, j, c)`` for ``ri += c * rj``, ``(i, j, x, y, z,
+    w)`` for ``ri, rj = x*ri + y*rj, z*ri + w*rj``, or ``(i,)`` for ``ri =
+    -ri``.  The first read of ``left`` replays the row steps on the
+    identity and takes its rows in the recorded order; ``right`` does the
+    same with columns.  Each is kept on the form once built.
     """
 
     matrix: IntMatrix
     diagonal: tuple[int, ...]
     left_inverse: IntMatrix
-    row_steps: InitVar[tuple[tuple[int, ...], ...]]
-    col_steps: InitVar[tuple[tuple[int, ...], ...]]
-    row_order: InitVar[tuple[int, ...]]
-    col_order: InitVar[tuple[int, ...]]
-
-    def __post_init__(self, row_steps, col_steps, row_order, col_order):
-        vars(self).update(_left_record=(row_steps, row_order), _right_record=(col_steps, col_order))
+    _row_record: tuple = field(repr=False, compare=False)
+    _col_record: tuple = field(repr=False, compare=False)
 
     @cached_property
     def left(self) -> IntMatrix:
-        steps, order = vars(self).pop("_left_record")
+        steps, order = self._row_record
         n = self.matrix.rows
         rows = _replay(steps, n)
         return IntMatrix._of(tuple(_dense(rows[i], n) for i in order), n)
 
     @cached_property
     def right(self) -> IntMatrix:
-        steps, order = vars(self).pop("_right_record")
+        steps, order = self._col_record
         n = self.matrix.cols
         cols = _replay(steps, n)
         picked = [_dense(cols[j], n) for j in order]
@@ -695,8 +690,6 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
         matrix=mat,
         diagonal=tuple(diag[t] for t in order),
         left_inverse=IntMatrix._of(tuple(zip(*uinv_cols)) if uinv_cols else (), R),
-        row_steps=tuple(row_steps),
-        col_steps=tuple(col_steps),
-        row_order=tuple(row_order),
-        col_order=tuple(col_order),
+        _row_record=(tuple(row_steps), tuple(row_order)),
+        _col_record=(tuple(col_steps), tuple(col_order)),
     )

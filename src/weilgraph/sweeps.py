@@ -307,12 +307,12 @@ def torsion_sweep(
     vertex set, and r times each generator must reduce to zero (checked by
     burning, not by the Smith form that produced the generator).
     """
+    if any(r < 1 for r in rs):
+        raise ValueError("torsion indices must be positive")
     res = SweepResult("subdivision-r-torsion")
     fault = inject_fault
     for graph in connected_multigraphs(max_edges):
         for r in rs:
-            if r < 1:
-                raise ValueError("torsion indices must be positive")
             for mode in ("all", "nonsep"):
                 res.instances += 1
                 report = verify_torsion_on_subdivision(graph, r, mode)

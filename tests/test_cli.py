@@ -95,6 +95,14 @@ def test_cover_dot_file(theta_file, tmp_path, capsys):
     assert f"wrote {dot_path}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("target", ["missing/cover.dot", ""], ids=["no-dir", "a-dir"])
+def test_cover_dot_unwritable(theta_file, tmp_path, capsys, target):
+    dot_path = tmp_path / target
+    code = main(["cover", "--graph", theta_file, "--gamma", "1", "--dot", str(dot_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {dot_path}: ")
+
+
 def test_cover_dot_stdout(theta_file, capsys):
     assert main(["cover", "--graph", theta_file, "--gamma", "1", "--dot", "-"]) == 0
     assert "v0_a -- v1_b" in capsys.readouterr().out
@@ -166,6 +174,13 @@ def test_bad_document_exit(tmp_path, capsys):
 
 def test_missing_file_exit(tmp_path, capsys):
     assert main(["homology", "--graph", str(tmp_path / "absent.json")]) == 2
+
+
+def test_non_utf8_file_exit(tmp_path, capsys):
+    path = tmp_path / "theta.json"
+    path.write_bytes(THETA.encode() + b"\xff")
+    assert main(["homology", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
 def test_gamma_not_an_integer(theta_file, capsys):

@@ -1,6 +1,8 @@
 """Package-level behavior: the import footprint and the demo scripts."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +32,22 @@ def test_import_loads_only_the_standard_library():
     proc = _run(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_cache_is_bounded():
+    # caches found as perfbench/workloads.py finds them, after every
+    # submodule is imported
+    for mod in pkgutil.iter_modules(weilgraph.__path__):
+        importlib.import_module(f"weilgraph.{mod.name}")
+    caches = {
+        f"{name}.{attr}": obj
+        for name, mod in list(sys.modules.items())
+        if name.startswith("weilgraph.")
+        for attr, obj in vars(mod).items()
+        if hasattr(obj, "cache_clear") and hasattr(obj, "cache_info")
+    }
+    assert caches
+    assert [n for n, c in caches.items() if c.cache_parameters()["maxsize"] is None] == []
 
 
 def test_demos_found():

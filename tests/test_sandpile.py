@@ -2,6 +2,7 @@
 
 import copy
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -26,7 +27,7 @@ from weilgraph import (
     verify_torsion_on_subdivision,
 )
 from weilgraph import linalg, sandpile
-from weilgraph.sandpile import _principal_shift
+from weilgraph.sandpile import _burn_data, _fire, _principal_shift
 
 K4 = MultiGraph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
 
@@ -261,6 +262,40 @@ def test_principal_shift_preserves_class():
         for v in range(n):
             if v != base:
                 assert abs(shifted[v]) <= g.degree(v)
+
+
+def test_fire_subtracts_the_laplacian_image():
+    # the one firing step against the dense Laplacian, which is built
+    # without the burn table
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12)))
+        g = MultiGraph(n, edges)
+        d = [rng.randint(-50, 50) for _ in range(n)]
+        fire = [rng.randint(-5, 5) for _ in range(n)]
+        lap = laplacian(g).entries
+        expect = [d[v] - sum(x * f for x, f in zip(lap[v], fire)) for v in range(n)]
+        _fire(d, _burn_data(g, rng.randrange(n))[0], fire)
+        assert d == expect, (edges, fire)
+
+
+def test_burn_caches_miss_as_if_unbounded(monkeypatch):
+    # a (graph, base) is done with before the next one starts, so the
+    # small bound on both caches costs no misses
+    caches = ("_burn_data", "_reduced_smith")
+
+    def misses():
+        for name in caches:
+            getattr(sandpile, name).cache_clear()
+        assert torsion_sweep(3, rs=(2, 3)).ok
+        return [getattr(sandpile, name).cache_info().misses for name in caches]
+
+    bounded = misses()
+    for name in caches:
+        unbounded = lru_cache(maxsize=None)(getattr(sandpile, name).__wrapped__)
+        monkeypatch.setattr(sandpile, name, unbounded)
+    assert misses() == bounded
 
 
 def test_generators_leave_left_and_right_unbuilt(monkeypatch):

@@ -18,6 +18,7 @@ from weilgraph import (
     theta_graph,
     torsion_sweep,
 )
+from weilgraph import sweeps
 from weilgraph.sweeps import _MAX_RECORDED, _is_coboundary
 
 K4 = MultiGraph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
@@ -137,6 +138,16 @@ def test_torsion_sweep_small():
     res = torsion_sweep(3, rs=(2,))
     assert res.ok
     assert res.instances > 0
+
+
+def test_torsion_sweep_rejects_nonpositive_r(monkeypatch):
+    # rs is checked once, before any graph is enumerated
+    def no_graphs(max_edges):
+        raise AssertionError("enumerated before checking rs")
+
+    monkeypatch.setattr(sweeps, "connected_multigraphs", no_graphs)
+    with pytest.raises(ValueError, match="torsion indices must be positive"):
+        torsion_sweep(2, rs=(2, 0))
 
 
 @pytest.mark.parametrize(
