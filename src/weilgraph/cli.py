@@ -62,14 +62,14 @@ MAX_EDGES = 2000
 
 
 def _read_document(path: str) -> InputDocument:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, UnicodeDecodeError) as err:
-            raise DocumentError(f"cannot read {path}: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise DocumentError(f"cannot read {path}: {err}") from err
     doc = InputDocument.parse(text)
     if doc.vertices > MAX_VERTICES:
         raise DocumentError(f"vertices: {doc.vertices} is over {MAX_VERTICES}")

@@ -169,7 +169,7 @@ class Report:
             raise DocumentError("command and input_digest must be strings")
         if not isinstance(obj["payload"], dict):
             raise DocumentError("payload must be an object")
-        if obj["schema_version"] != 1:
+        if _expect_int(obj["schema_version"], "schema_version") != 1:
             raise DocumentError("unsupported report schema version")
         return cls(
             command=obj["command"],

@@ -214,33 +214,19 @@ class MultiGraph:
         return tuple(path)
 
     def non_separating_edges(self) -> EdgeSubset:
-        """Edges whose deletion does not raise the component count.
+        """Edges lying on some cycle: those whose deletion does not raise the
+        component count.
 
-        Equivalently the edges lying on some cycle.  Loops always qualify.
+        They are the edges of the fundamental cycles of ``spanning_forest``:
+        each non-forest edge (every loop among them) with the forest path
+        between its ends.
         """
-        result: list[int] = []
+        forest = self.spanning_forest()
+        result: set[int] = set()
         for e, (u, v) in enumerate(self.edges):
-            if u == v:
-                result.append(e)
-                continue
-            # e is non-separating iff u still reaches v after dropping e.
-            stack = [u]
-            seen = {u}
-            found = False
-            while stack and not found:
-                x = stack.pop()
-                for f in self._incidence[x]:
-                    if f == e:
-                        continue
-                    y = self.edge_other_end(f, x)
-                    if y == v:
-                        found = True
-                        break
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if found:
-                result.append(e)
+            if e not in forest:
+                result.add(e)
+                result.update(self.path_in_forest(forest, u, v))
         return frozenset(result)
 
     # -- derived graphs ------------------------------------------------------

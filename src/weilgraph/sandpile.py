@@ -321,11 +321,11 @@ class CriticalGroup:
     """The critical group in invariant-factor form with explicit generators.
 
     ``generators[i]`` is a degree-zero divisor whose class has order
-    exactly ``invariant_factors[i]``; trivial factors are dropped.
+    exactly ``invariant_factors[i]``; trivial factors are dropped.  The
+    presentation is the reduced Laplacian at vertex 0.
     """
 
     graph: MultiGraph
-    base_vertex: int
     invariant_factors: tuple[int, ...]
     generators: tuple[Divisor, ...]
 
@@ -350,45 +350,34 @@ class CriticalGroup:
         return count, tuple(gens)
 
 
-def critical_group(graph: MultiGraph, base: int = 0) -> CriticalGroup:
+def critical_group(graph: MultiGraph) -> CriticalGroup:
     """Critical group of a connected graph, with generator divisors.
 
-    The Smith form of the reduced Laplacian presents the cokernel; the
-    tracked left inverse turns each surviving diagonal position into a
-    concrete divisor (column of the inverse on the non-base vertices, base
-    coefficient balancing to degree zero).
+    The Smith form of the reduced Laplacian at vertex 0 presents the
+    cokernel; the tracked left inverse turns each surviving diagonal
+    position into a concrete divisor (column of the inverse on vertices
+    1 .. n - 1, vertex 0's coefficient balancing to degree zero).
     """
     if graph.vertex_count == 0:
         raise ValueError("critical group of the empty graph: it has no vertices")
     if not graph.is_connected():
         raise ValueError("critical group needs a connected graph")
-    if not (0 <= base < graph.vertex_count):
-        raise ValueError("base vertex out of range")
-    return _critical_group(graph, base)
+    return _critical_group(graph)
 
 
-def _critical_group(graph: MultiGraph, base: int) -> CriticalGroup:
-    """``critical_group`` unchecked: ``graph`` connected, ``base`` a vertex."""
-    n = graph.vertex_count
-    snf = _reduced_smith(graph, base)
-    verts = [v for v in range(n) if v != base]
+def _critical_group(graph: MultiGraph) -> CriticalGroup:
+    """``critical_group`` unchecked: ``graph`` connected and not empty."""
+    snf = _reduced_smith(graph, 0)
     factors: list[int] = []
     gens: list[Divisor] = []
     for i, dgn in enumerate(snf.diagonal):
         if dgn <= 1:
             continue
         factors.append(dgn)
-        column = [snf.left_inverse.entries[r][i] for r in range(n - 1)]
-        coeffs = [0] * n
-        for v, c in zip(verts, column):
-            coeffs[v] = c
-        coeffs[base] = -sum(column)
-        gens.append(Divisor._of(graph, tuple(coeffs)))
+        column = [row[i] for row in snf.left_inverse.entries]
+        gens.append(Divisor._of(graph, (-sum(column), *column)))
     return CriticalGroup(
-        graph=graph,
-        base_vertex=base,
-        invariant_factors=tuple(factors),
-        generators=tuple(gens),
+        graph=graph, invariant_factors=tuple(factors), generators=tuple(gens)
     )
 
 
@@ -430,8 +419,8 @@ def verify_torsion_on_subdivision(
         raise ValueError("torsion check needs a connected graph")
     which = None if mode == "all" else graph.non_separating_edges()
     sub = graph.subdivide(r, which)
-    # subdividing keeps the graph connected and vertex 0 in place
-    group = _critical_group(sub.child, 0)
+    # subdividing keeps the graph connected
+    group = _critical_group(sub.child)
     count, gens = group.r_torsion(r)
     expected = r ** graph.genus()
     return TorsionReport(

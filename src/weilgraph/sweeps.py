@@ -95,8 +95,8 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def connected_multigraphs(max_edges: int, min_edges: int = 0) -> Iterator[MultiGraph]:
-    """All connected multigraphs with ``min_edges .. max_edges`` edges.
+def connected_multigraphs(max_edges: int) -> Iterator[MultiGraph]:
+    """All connected multigraphs with at most ``max_edges`` edges.
 
     One representative per sorted first-use edge list; every isomorphism
     class appears at least once.  The single-vertex edgeless graph is the
@@ -104,9 +104,8 @@ def connected_multigraphs(max_edges: int, min_edges: int = 0) -> Iterator[MultiG
     """
     if max_edges < 0:
         raise ValueError("edge bound must be non-negative")
-    if min_edges <= 0:
-        yield MultiGraph(1, ())
-    for m in range(max(1, min_edges), max_edges + 1):
+    yield MultiGraph(1, ())
+    for m in range(1, max_edges + 1):
         yield from _connected_with_edges(m)
 
 

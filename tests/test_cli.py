@@ -1,5 +1,6 @@
 """End-to-end command line behavior: outputs, reports, exit codes."""
 
+import io
 import json
 import subprocess
 import sys
@@ -176,9 +177,16 @@ def test_missing_file_exit(tmp_path, capsys):
     assert main(["homology", "--graph", str(tmp_path / "absent.json")]) == 2
 
 
-def test_non_utf8_file_exit(tmp_path, capsys):
-    path = tmp_path / "theta.json"
-    path.write_bytes(THETA.encode() + b"\xff")
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_non_utf8_file_exit(stdin, tmp_path, capsys, monkeypatch):
+    raw = THETA.encode() + b"\xff"
+    if stdin:
+        path = "-"
+        wrapper = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdin", wrapper)
+    else:
+        path = tmp_path / "theta.json"
+        path.write_bytes(raw)
     assert main(["homology", "--graph", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 

@@ -109,6 +109,8 @@ def test_report_round_trip():
         '{"command": 1, "input_digest": "x", "payload": {}, "schema_version": 1}',
         '{"command": "t", "input_digest": "x", "payload": {}, "schema_version": 2}',
         '{"command": "t", "input_digest": "x", "payload": {}, "schema_version": 1, "y": 0}',
+        '{"command": "t", "input_digest": "x", "payload": {}, "schema_version": true}',
+        '{"command": "t", "input_digest": "x", "payload": {}, "schema_version": 1.0}',
         pytest.param(
             '{"command": "t", "input_digest": "x", "payload": {}, "schema_version": 1%s}'
             % ("0" * 5000),

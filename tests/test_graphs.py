@@ -1,5 +1,7 @@
 """Multigraph structure: incidence, genus, forests, derived graphs."""
 
+import random
+
 import pytest
 
 from weilgraph import (
@@ -10,6 +12,7 @@ from weilgraph import (
     path_graph,
     theta_graph,
 )
+from weilgraph.sweeps import connected_multigraphs
 
 
 def test_stock_graph_shapes():
@@ -107,6 +110,31 @@ def test_non_separating_edges():
     assert path_graph(3).non_separating_edges() == frozenset()
     k4 = MultiGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
     assert k4.non_separating_edges() == frozenset(range(6))
+
+
+def _cycle_edges_by_deletion(g):
+    # oracle: delete each edge and count components; walks no forest path
+    return frozenset(
+        e
+        for e in range(g.edge_count)
+        if g.delete_edges({e})[0].component_count == g.component_count
+    )
+
+
+def test_non_separating_edges_against_deletion():
+    for g in connected_multigraphs(6):
+        assert g.non_separating_edges() == _cycle_edges_by_deletion(g)
+    rng = random.Random(37)
+    seen = {"loop": 0, "isolated": 0, "split": 0}
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        edges = [rng.choices(range(n), k=2) for _ in range(rng.randint(0, 12))]
+        g = MultiGraph(n, tuple(edges))
+        seen["loop"] += any(g.is_loop(e) for e in range(g.edge_count))
+        seen["isolated"] += any(not g.incident_edges(v) for v in range(n))
+        seen["split"] += g.component_count > 1
+        assert g.non_separating_edges() == _cycle_edges_by_deletion(g)
+    assert min(seen.values()) > 30, seen
 
 
 def test_delete_edges():
