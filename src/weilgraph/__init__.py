@@ -18,7 +18,6 @@ from .curvemodel import (
     TwistedCurveModel,
     TwoTorsionClass,
     WeilFormModel,
-    coarse_pairing,
 )
 from .documents import DocumentError, InputDocument, Report
 from .graphs import (
@@ -36,7 +35,6 @@ from .homology import (
     Cochain0,
     Cochain1,
     HomologyBasis,
-    decompose_cycles,
     graph_pairing,
     homology_basis,
     is_perfect_pairing,
@@ -95,12 +93,10 @@ __all__ = [
     "all_simple_cycles",
     "bouquet_graph",
     "build_double_cover",
-    "coarse_pairing",
     "connected_multigraphs",
     "cover_to_dot",
     "critical_group",
     "cycle_graph",
-    "decompose_cycles",
     "dhar_reduce",
     "divisors_equivalent",
     "dumbbell_graph",

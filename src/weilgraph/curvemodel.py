@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .graphs import EdgeSubset, MultiGraph
 from .homology import Chain1, Cochain1, _pairing_rows, homology_basis
@@ -45,7 +45,6 @@ __all__ = [
     "TwistedCurveModel",
     "TwoTorsionClass",
     "WeilFormModel",
-    "coarse_pairing",
 ]
 
 
@@ -224,26 +223,3 @@ class WeilFormModel:
 
     def is_alternating(self) -> bool:
         return self.gram.is_symmetric() and self.gram.has_zero_diagonal()
-
-
-def coarse_pairing(model: TwistedCurveModel, x: Sequence[int], y: Sequence[int]) -> int:
-    """Componentwise pairing: the per-vertex symplectic sum.
-
-    ``x`` and ``y`` are component-block coordinate vectors (length twice
-    the genus sum); the result is the sum of the standard symplectic
-    pairings over the vertices, which is how the pairing of pullback
-    classes decomposes over the normalization.
-    """
-    comp_dim = 2 * sum(model.vertex_genus)
-    xs = tuple(int(a) & 1 for a in x)
-    ys = tuple(int(a) & 1 for a in y)
-    if len(xs) != comp_dim or len(ys) != comp_dim:
-        raise ValueError("component vectors must have length twice the genus sum")
-    total = 0
-    off = 0
-    for gv in model.vertex_genus:
-        for k in range(gv):
-            total ^= xs[off + k] & ys[off + gv + k]
-            total ^= xs[off + gv + k] & ys[off + k]
-        off += 2 * gv
-    return total

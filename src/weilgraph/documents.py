@@ -53,7 +53,7 @@ class InputDocument:
     def parse(cls, text: str) -> "InputDocument":
         try:
             obj = json.loads(text)
-        except ValueError as err:  # JSONDecodeError, or an int over 4300 digits
+        except (ValueError, RecursionError) as err:  # bad JSON, a huge int, deep nesting
             raise DocumentError(f"not valid JSON: {err}") from err
         return cls.from_mapping(obj)
 
@@ -156,7 +156,7 @@ class Report:
     def from_json(cls, text: str) -> "Report":
         try:
             obj = json.loads(text)
-        except ValueError as err:  # JSONDecodeError, or an int over 4300 digits
+        except (ValueError, RecursionError) as err:  # bad JSON, a huge int, deep nesting
             raise DocumentError(f"not a valid report: {err}") from err
         if not isinstance(obj, dict):
             raise DocumentError("report must be a JSON object")

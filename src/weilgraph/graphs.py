@@ -278,7 +278,6 @@ class MultiGraph:
         return SubdivisionMap(
             parent=self,
             child=child,
-            original_vertices=frozenset(range(self.vertex_count)),
             edge_paths=tuple(edge_paths),
         )
 
@@ -287,23 +286,14 @@ class MultiGraph:
 class SubdivisionMap:
     """Bookkeeping for an edge subdivision.
 
-    ``original_vertices`` holds the child labels of the parent vertices (the
-    embedding is the identity: parent vertex ``i`` is child vertex ``i``).
+    Parent vertex ``i`` is child vertex ``i``; the new vertices follow them.
     ``edge_paths[e]`` lists the child edges that parent edge ``e`` became, in
     order from its first endpoint to its second.
     """
 
     parent: MultiGraph
     child: MultiGraph
-    original_vertices: frozenset[int]
     edge_paths: tuple[tuple[int, ...], ...]
-
-    def subdivided_edges(self) -> EdgeSubset:
-        return frozenset(e for e, p in enumerate(self.edge_paths) if len(p) > 1)
-
-    def interior_vertices(self) -> frozenset[int]:
-        """Child vertices created by the subdivision."""
-        return frozenset(range(self.parent.vertex_count, self.child.vertex_count))
 
 
 # -- small stock graphs used throughout tests and demos ----------------------

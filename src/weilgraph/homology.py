@@ -31,7 +31,6 @@ __all__ = [
     "Cochain0",
     "Cochain1",
     "HomologyBasis",
-    "decompose_cycles",
     "graph_pairing",
     "homology_basis",
     "is_perfect_pairing",
@@ -108,11 +107,6 @@ class Chain0:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", _check_vertices(self.graph, self.vertices))
 
-    def __xor__(self, other: "Chain0") -> "Chain0":
-        if self.graph != other.graph:
-            raise ValueError("chains live on different graphs")
-        return Chain0(self.graph, self.vertices ^ other.vertices)
-
 
 @dataclass(frozen=True)
 class Cochain0:
@@ -123,11 +117,6 @@ class Cochain0:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", _check_vertices(self.graph, self.vertices))
-
-    def __xor__(self, other: "Cochain0") -> "Cochain0":
-        if self.graph != other.graph:
-            raise ValueError("cochains live on different graphs")
-        return Cochain0(self.graph, self.vertices ^ other.vertices)
 
     def coboundary(self) -> "Cochain1":
         """Edges whose two endpoints get different values.  Loops never do."""
@@ -262,56 +251,3 @@ def is_simple_cycle(alpha: Chain1) -> bool:
     if any(d != 2 for d in degree.values()):
         return False
     return len(graph.edge_components(support)) == 1
-
-
-def decompose_cycles(alpha: Chain1) -> list[Chain1]:
-    """Split a cycle into edge-disjoint simple cycles summing to it.
-
-    Greedy peeling: walk unused support edges from the lowest-index one
-    until a vertex repeats, cut out the simple cycle between the two
-    visits, return the leftover walk to the pool, repeat.  Works because
-    a cycle's support has even non-loop degree everywhere.
-    """
-    if not alpha.is_cycle():
-        raise ValueError("argument must be a cycle")
-    graph = alpha.graph
-    pool = set(alpha.edges)
-    pieces: list[Chain1] = []
-    while pool:
-        start_edge = min(pool)
-        u, v = graph.edges[start_edge]
-        if u == v:
-            pool.remove(start_edge)
-            pieces.append(Chain1(graph, frozenset({start_edge})))
-            continue
-        # walk from u through start_edge until some vertex repeats
-        walk_vertices = [u, v]
-        walk_edges = [start_edge]
-        used = {start_edge}
-        while True:
-            here = walk_vertices[-1]
-            step = None
-            for e in graph.incident_edges(here):
-                if e in pool and e not in used:
-                    step = e
-                    break
-            # even degrees guarantee a way out until the walk closes up
-            if step is None:
-                raise RuntimeError(f"cycle walk stuck at vertex {here}")
-            nxt = graph.edge_other_end(step, here)
-            used.add(step)
-            walk_edges.append(step)
-            if graph.is_loop(step):
-                pieces.append(Chain1(graph, frozenset({step})))
-                pool.remove(step)
-                walk_edges.pop()
-                used.discard(step)
-                continue
-            if nxt in walk_vertices:
-                cut = walk_vertices.index(nxt)
-                cycle_edges = frozenset(walk_edges[cut:])
-                pieces.append(Chain1(graph, cycle_edges))
-                pool -= cycle_edges
-                break
-            walk_vertices.append(nxt)
-    return pieces

@@ -2,10 +2,9 @@
 
 Two worlds live here.  ``GF2Matrix`` keeps each row as a Python int whose
 bit ``j`` is column ``j``.  Its one elimination, ``_echelon``, XORs whole
-rows into a basis keyed by lowest set bit; kernel and solve add a
-back-substitution pass to the unique reduced echelon form, so their
-conventions are fixed (free variables are set to zero, kernel vectors
-follow ascending free columns).  ``IntMatrix`` and
+rows into a basis keyed by lowest set bit; solve adds a back-substitution
+pass to the unique reduced echelon form, so its convention is fixed (free
+variables are set to zero).  ``IntMatrix`` and
 ``smith_normal_form`` work over native Python ints, because spanning-tree
 counts overflow fixed-width integers quickly.  The Smith form carries
 unimodular transforms on both sides plus the inverse of the left one.
@@ -134,16 +133,6 @@ class GF2Matrix:
         body = ";".join("".join(map(str, row)) for row in self.tolist())
         return f"GF2Matrix({self.rows}x{self.cols}:{body})"
 
-    def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        columns = other.transpose()._bits
-        prod = (
-            sum(((row & col).bit_count() & 1) << j for j, col in enumerate(columns))
-            for row in self._bits
-        )
-        return GF2Matrix._of(prod, other.cols)
-
     def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
@@ -164,18 +153,6 @@ class GF2Matrix:
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
-
-    def kernel_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Basis of the right kernel, one vector per free column.
-
-        Free columns are visited in ascending index order; each basis
-        vector sets its free variable to one, all other free variables to
-        zero, and back-substitutes the pivots.
-        """
-        reduced = _back_substitute(_echelon(self._bits))
-        free = (f for f in range(self.cols) if 1 << f not in reduced)
-        vecs = (1 << f | sum(p for p, row in reduced.items() if row >> f & 1) for f in free)
-        return tuple(tuple(v >> j & 1 for j in range(self.cols)) for v in vecs)
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """One solution of ``A x = b`` or None.  Free variables are zero."""

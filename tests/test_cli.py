@@ -1,5 +1,6 @@
 """End-to-end command line behavior: outputs, reports, exit codes."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -166,11 +167,40 @@ def test_verify_inject_fault(capsys):
     assert "counterexample" in out
 
 
+@pytest.mark.parametrize(
+    ("argv", "code", "digest"),
+    [
+        (
+            ["verify", "--max-edges", "4", "--json"],
+            0,
+            "859f1eaaf5be43cc49f4bbd5f95771cab9c895a65afa00fea1d25b2ccba6abe5",
+        ),
+        (
+            ["verify", "--max-edges", "3", "--inject-fault", "--json"],
+            4,
+            "4a0577985ce6e38e2176fb9d6b15e127a8bd411286bb6c045571d5fcc014fea7",
+        ),
+    ],
+    ids=["max-edges-4", "inject-fault"],
+)
+def test_verify_json_pinned(argv, code, digest, capsys):
+    # the whole report, byte for byte: any change to an answer shows here
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_bad_document_exit(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"vertices": 2}')
     assert main(["homology", "--graph", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_deeply_nested_document_exit(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main(["homology", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: not valid JSON: ")
 
 
 def test_missing_file_exit(tmp_path, capsys):

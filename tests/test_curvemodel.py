@@ -12,7 +12,6 @@ from weilgraph import (
     TwistedCurveModel,
     TwoTorsionClass,
     bouquet_graph,
-    coarse_pairing,
     connected_multigraphs,
     dumbbell_graph,
     graph_pairing,
@@ -142,17 +141,6 @@ def test_pair_frozen():
     assert form.pair(q0, q0) == 0
     with pytest.raises(ValueError):
         form.pair(h0, TwoTorsionClass((0,), (), (1,)))
-
-
-def test_coarse_pairing():
-    model = TwistedCurveModel(POINT, (1,), ())
-    assert coarse_pairing(model, (1, 0), (0, 1)) == 1
-    assert coarse_pairing(model, (1, 0), (1, 0)) == 0
-    two = TwistedCurveModel(MultiGraph(2, ((0, 1),)), (1, 1), (2,))
-    assert coarse_pairing(two, (1, 0, 0, 0), (0, 1, 0, 0)) == 1
-    assert coarse_pairing(two, (1, 0, 1, 0), (0, 1, 0, 1)) == 0
-    with pytest.raises(ValueError):
-        coarse_pairing(two, (1, 0), (0, 1))
 
 
 def _reference_gram(model):

@@ -75,6 +75,7 @@ def test_decorations_round_trip():
         '{"vertices": 2, "edges": [[0, 1]], "stabilizers": [0]}',
         '{"vertices": 2, "edges": [[0, 1]], "stabilizers": [1.5]}',
         pytest.param('{"vertices": 1%s, "edges": []}' % ("0" * 5000), id="5001-digit-int"),
+        pytest.param("[" * 100000 + "]" * 100000, id="nested-100000"),
     ],
 )
 def test_rejects_malformed(raw):
@@ -116,6 +117,7 @@ def test_report_round_trip():
             % ("0" * 5000),
             id="5001-digit-int",
         ),
+        pytest.param("[" * 100000 + "]" * 100000, id="nested-100000"),
     ],
 )
 def test_report_rejects_malformed(raw):

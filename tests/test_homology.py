@@ -12,7 +12,6 @@ from weilgraph import (
     MultiGraph,
     bouquet_graph,
     cycle_graph,
-    decompose_cycles,
     dumbbell_graph,
     graph_pairing,
     homology_basis,
@@ -182,41 +181,6 @@ def test_is_simple_cycle():
     # both triangles through the shared vertex: connected, degree four
     assert not is_simple_cycle(Chain1(BUTTERFLY, frozenset(range(6))))
     assert is_simple_cycle(Chain1(BUTTERFLY, frozenset({0, 1, 2})))
-
-
-def test_decompose_cycles():
-    pieces = decompose_cycles(Chain1(BUTTERFLY, frozenset(range(6))))
-    assert sorted(sorted(p.edges) for p in pieces) == [[0, 1, 2], [3, 4, 5]]
-
-    pieces = decompose_cycles(Chain1(bouquet_graph(2), frozenset({0, 1})))
-    assert sorted(sorted(p.edges) for p in pieces) == [[0], [1]]
-
-    assert decompose_cycles(Chain1(theta_graph(), frozenset())) == []
-    with pytest.raises(ValueError):
-        decompose_cycles(Chain1(theta_graph(), frozenset({0})))
-
-
-def test_decompose_cycles_properties():
-    rng = random.Random(17)
-    for _ in range(80):
-        g = _random_connected(rng)
-        basis = homology_basis(g)
-        if not basis.cycles:
-            continue
-        total = Chain1(g, frozenset())
-        for c in basis.cycles:
-            if rng.random() < 0.5:
-                total = total ^ c
-        if not total.edges:
-            continue
-        pieces = decompose_cycles(total)
-        rebuilt = Chain1(g, frozenset())
-        for p in pieces:
-            assert is_simple_cycle(p)
-            rebuilt = rebuilt ^ p
-        assert rebuilt == total
-        # supports are disjoint, so the xor is also the disjoint union
-        assert sum(len(p.edges) for p in pieces) == len(total.edges)
 
 
 def test_pairing_gram_shape():

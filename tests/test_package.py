@@ -1,5 +1,7 @@
-"""Package-level behavior: the import footprint and the demo scripts."""
+"""Package-level behavior: the import footprint, the exported names and the
+demo scripts."""
 
+import hashlib
 import importlib
 import os
 import pkgutil
@@ -13,6 +15,12 @@ import weilgraph
 
 SRC = Path(weilgraph.__file__).resolve().parents[1]
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+DEMO_STDOUT_SHA256 = {
+    "01_pairing_basics": "e583cf8f43ccab4a3db5c09c8604060682e29a903ae187f887a307955a7bf473",
+    "02_double_covers": "7550d1220d05ead335768eef30a0486ca34bcca849da2fbe97e90402b3c6cd5f",
+    "03_two_torsion_models": "fc69e4bdcff6e7c1def63c62ecafda2fcc84f61fef0a79304909a218dd40f56b",
+    "04_chip_firing_torsion": "78e41cb1d97ea752e44d2bb63f52ce65717469a641e28a74cb029227aea8fe8f",
+}
 
 
 def _run(args):
@@ -34,6 +42,17 @@ def test_import_loads_only_the_standard_library():
     assert proc.stdout.strip() == "[]"
 
 
+def test_every_exported_name_resolves():
+    # a stale __all__ entry breaks ``from weilgraph.<module> import *``
+    modules = [weilgraph] + [
+        importlib.import_module(f"weilgraph.{mod.name}")
+        for mod in pkgutil.iter_modules(weilgraph.__path__)
+    ]
+    exported = [(mod, name) for mod in modules for name in getattr(mod, "__all__", ())]
+    assert len(exported) > len(weilgraph.__all__)
+    assert [f"{m.__name__}.{n}" for m, n in exported if not hasattr(m, n)] == []
+
+
 def test_every_cache_is_bounded():
     # caches found as perfbench/workloads.py finds them, after every
     # submodule is imported
@@ -51,11 +70,11 @@ def test_every_cache_is_bounded():
 
 
 def test_demos_found():
-    assert DEMOS, "no demo scripts found"
+    assert sorted(d.stem for d in DEMOS) == sorted(DEMO_STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
     proc = _run([str(demo)])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo.stem]
