@@ -143,6 +143,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    if args.dot == "-" and args.json:
+        raise DocumentError("--dot - and --json both write stdout; give --dot a file")
     doc = _read_document(args.graph)
     graph = doc.graph()
     gamma = Cochain1(graph, _parse_edge_list(args.gamma, graph, "--gamma"))
@@ -382,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dot",
         default=None,
         metavar="FILE",
-        help="write the cover in DOT format ('-' prints it)",
+        help="write the cover in DOT format ('-' prints it, not with --json)",
     )
     p.set_defaults(func=cmd_cover)
 

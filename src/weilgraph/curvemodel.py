@@ -66,7 +66,7 @@ def _reduced_blocks(graph: MultiGraph, even_edges: EdgeSubset) -> _ReducedBlocks
     odd = frozenset(range(graph.edge_count)) - even_edges
     reduced, kept = graph.delete_edges(odd)
     pushed = tuple(
-        Chain1(graph, frozenset(kept[j] for j in c.edges))
+        Chain1._of(graph, frozenset(kept[j] for j in c.edges))
         for c in homology_basis(reduced).cycles
     )
     cocycle_edges = [gamma.edges for gamma in homology_basis(graph).cocycles]

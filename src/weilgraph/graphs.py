@@ -94,15 +94,6 @@ class MultiGraph:
         """Edges touching ``v``, in index order.  Loops appear once."""
         return self._incidence[v]
 
-    def edge_other_end(self, e: int, v: int) -> int:
-        """The endpoint of ``e`` opposite ``v`` (equal to ``v`` for a loop)."""
-        u, w = self.edges[e]
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise ValueError(f"vertex {v} is not an endpoint of edge {e}")
-
     # -- connectivity and genus --------------------------------------------
 
     @cached_property
@@ -158,7 +149,7 @@ class MultiGraph:
         """First Betti number: ``edges - vertices + components``."""
         return self.edge_count - self.vertex_count + self.component_count
 
-    # -- forests, paths, separating edges ------------------------------------
+    # -- forests, cycles, separating edges -----------------------------------
 
     def spanning_forest(self) -> EdgeSubset:
         """Greedy lowest-index spanning forest.  Loops never qualify."""
@@ -178,56 +169,47 @@ class MultiGraph:
                 picked.append(e)
         return frozenset(picked)
 
-    def path_in_forest(self, forest: Iterable[int], u: int, v: int) -> tuple[int, ...]:
-        """Edge indices of the unique ``u`` to ``v`` path inside ``forest``.
+    def fundamental_cycles(self) -> dict[int, EdgeSubset]:
+        """The fundamental cycle of each non-forest edge of ``spanning_forest``,
+        keyed by that edge, in edge order: the edge plus the forest path
+        between its ends (a loop alone).
 
-        Empty when ``u == v``.  Raises ValueError when the two vertices lie
-        in different forest components (then no path exists).
+        One walk roots each forest component, recording every vertex's depth
+        and its forest edge and vertex up; each cycle then climbs from its two
+        ends to the vertex where they meet.
         """
-        forest = frozenset(forest)
-        if u == v:
-            return ()
-        # BFS from u restricted to forest edges; forests make the path unique.
-        prev: dict[int, tuple[int, int]] = {}
-        frontier = [u]
-        seen = {u}
-        while frontier and v not in seen:
-            nxt: list[int] = []
-            for x in frontier:
-                for e in self._incidence[x]:
-                    if e not in forest:
-                        continue
-                    y = self.edge_other_end(e, x)
-                    if y not in seen:
-                        seen.add(y)
-                        prev[y] = (x, e)
-                        nxt.append(y)
-            frontier = nxt
-        if v not in seen:
-            raise ValueError(f"no forest path joins {u} and {v}")
-        path: list[int] = []
-        x = v
-        while x != u:
-            x, e = prev[x]
-            path.append(e)
-        path.reverse()
-        return tuple(path)
+        edges, n = self.edges, self.vertex_count
+        forest = self.spanning_forest()
+        at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for e in forest:
+            u, v = edges[e]
+            at[u].append((e, v))
+            at[v].append((e, u))
+        depth, up = [-1] * n, [(-1, -1)] * n
+        for root in range(n):
+            if depth[root] < 0:
+                depth[root], order = 0, [root]
+                for x in order:  # grows while it is read: breadth first
+                    for e, y in at[x]:
+                        if depth[y] < 0:
+                            depth[y], up[y] = depth[x] + 1, (e, x)
+                            order.append(y)
+        cycles: dict[int, EdgeSubset] = {}
+        for e, (u, v) in enumerate(edges):
+            if e not in forest:
+                cycle = [e]
+                while u != v:
+                    if depth[u] < depth[v]:
+                        u, v = v, u
+                    f, u = up[u]
+                    cycle.append(f)
+                cycles[e] = frozenset(cycle)
+        return cycles
 
     def non_separating_edges(self) -> EdgeSubset:
-        """Edges lying on some cycle: those whose deletion does not raise the
-        component count.
-
-        They are the edges of the fundamental cycles of ``spanning_forest``:
-        each non-forest edge (every loop among them) with the forest path
-        between its ends.
-        """
-        forest = self.spanning_forest()
-        result: set[int] = set()
-        for e, (u, v) in enumerate(self.edges):
-            if e not in forest:
-                result.add(e)
-                result.update(self.path_in_forest(forest, u, v))
-        return frozenset(result)
+        """Edges lying on some cycle, whose deletion keeps the component
+        count: the union of the ``fundamental_cycles``."""
+        return frozenset().union(*self.fundamental_cycles().values())
 
     # -- derived graphs ------------------------------------------------------
 

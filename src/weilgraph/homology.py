@@ -183,11 +183,11 @@ def _pairing_rows(rows_of: Sequence[frozenset], cols_of: Sequence[frozenset]) ->
 class HomologyBasis:
     """Canonical dual bases of H1 and H^1 hung off a spanning forest.
 
-    ``cycles[i]`` is the fundamental cycle of the i-th non-forest edge
-    (that edge plus the forest path joining its endpoints) and
-    ``cocycles[i]`` is the indicator cochain of the same edge.  Ordering
-    follows ascending non-forest edge index, which makes the pairing Gram
-    matrix the identity.
+    ``cycles[i]`` is the fundamental cycle of the i-th non-forest edge, as
+    ``MultiGraph.fundamental_cycles`` gives it (that edge plus the forest
+    path joining its endpoints), and ``cocycles[i]`` is the indicator
+    cochain of the same edge.  Ordering follows ascending non-forest edge
+    index, which makes the pairing Gram matrix the identity.
     """
 
     graph: MultiGraph
@@ -202,18 +202,15 @@ class HomologyBasis:
 
 @lru_cache(maxsize=8192)
 def homology_basis(graph: MultiGraph) -> HomologyBasis:
-    """Fundamental cycle and cocycle bases from the greedy spanning forest."""
-    forest = graph.spanning_forest()
-    cycles: list[Chain1] = []
-    cocycles: list[Cochain1] = []
-    for e in range(graph.edge_count):
-        if e in forest:
-            continue
-        u, v = graph.edges[e]
-        path = graph.path_in_forest(forest, u, v)
-        cycles.append(Chain1(graph, frozenset(path) | {e}))
-        cocycles.append(Cochain1(graph, frozenset({e})))
-    return HomologyBasis(graph, forest, tuple(cycles), tuple(cocycles))
+    """Fundamental cycle and cocycle bases from the greedy spanning forest,
+    read off ``graph.fundamental_cycles()``; the forest is every other edge."""
+    cycles = graph.fundamental_cycles()
+    return HomologyBasis(
+        graph,
+        frozenset(range(graph.edge_count)).difference(cycles),
+        tuple(Chain1._of(graph, c) for c in cycles.values()),
+        tuple(Cochain1._of(graph, frozenset({e})) for e in cycles),
+    )
 
 
 def pairing_gram(graph: MultiGraph) -> GF2Matrix:

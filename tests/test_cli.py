@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -110,6 +111,19 @@ def test_cover_dot_stdout(theta_file, capsys):
     assert "v0_a -- v1_b" in capsys.readouterr().out
 
 
+def test_cover_dot_stdout_with_json(theta_file, tmp_path, capsys):
+    # DOT text on stdout would make the report unreadable as JSON
+    argv = ["cover", "--graph", theta_file, "--gamma", "1", "--json", "--dot"]
+    assert main([*argv, "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --dot - and --json")
+    dot_path = tmp_path / "cover.dot"
+    assert main([*argv, str(dot_path)]) == 0
+    assert Report.from_json(capsys.readouterr().out.strip()).payload["connected"] is True
+    assert dot_path.read_text().startswith("graph cover {")
+
+
 def test_torsion(theta_model_file, capsys):
     assert main(["torsion", "--graph", theta_model_file, "--json"]) == 0
     payload = Report.from_json(capsys.readouterr().out.strip()).payload
@@ -187,6 +201,69 @@ def test_verify_json_pinned(argv, code, digest, capsys):
     # the whole report, byte for byte: any change to an answer shows here
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _corpus_document(rng, split):
+    # a random tree on each part, then loops, parallel copies and chords,
+    # in shuffled edge order; genera and stabilizers decorate every vertex
+    # and edge
+    m = rng.randint(8, 40)
+    n = rng.randint(2 if split else 1, m)
+    cut = rng.randint(1, n - 1) if split else n
+    edges = [[rng.randrange(cut if v >= cut else 0, v), v] for v in range(1, n) if v != cut]
+    while len(edges) < m:
+        kind = rng.random()
+        if kind < 0.2:
+            v = rng.randrange(n)
+            edges.append([v, v])
+        elif kind < 0.45 and edges:
+            edges.append(list(rng.choice(edges)))
+        else:
+            u = rng.randrange(n)
+            lo, hi = (0, cut) if u < cut else (cut, n)
+            edges.append([u, rng.randrange(lo, hi)])
+    rng.shuffle(edges)
+    return {
+        "vertices": n,
+        "edges": edges,
+        "genera": [rng.choice((0, 0, 1, 2)) for _ in range(n)],
+        "stabilizers": [rng.choice((1, 2, 3, 4)) for _ in edges],
+    }
+
+
+def test_seeded_report_corpus_pinned(tmp_path, capsys):
+    # every report the cycle bases feed, on seeded 8-40-edge documents with
+    # loops, parallel edges, genera, stabilizers and some split graphs
+    rng = random.Random(2023)
+    path = tmp_path / "doc.json"
+    digest = hashlib.sha256()
+    codes = []
+
+    def run(*argv):
+        code = main([*argv, "--graph", str(path), "--json"])
+        out = capsys.readouterr().out
+        digest.update(f"{code}\n{out}".encode())
+        codes.append(code)
+        return out
+
+    for i in range(60):
+        doc = _corpus_document(rng, split=i % 6 == 5)
+        path.write_text(json.dumps(doc))
+        m = len(doc["edges"])
+        cycles = json.loads(run("homology"))["payload"]["cycles"]
+        run("torsion")
+        for mode in ("all", "nonsep"):
+            run("tropical", "--r", str(rng.randint(2, 400 // m)), "--mode", mode)
+        if cycles:
+            gamma, alpha = rng.choice(cycles), rng.choice(cycles)
+            run("cover", "--gamma", ",".join(map(str, gamma)), "--alpha", ",".join(map(str, alpha)))
+        else:
+            run("cover", "--gamma", "")
+    # split graphs: homology and torsion report, tropical and cover exit 3
+    assert (len(codes), codes.count(3)) == (300, 30), codes
+    assert digest.hexdigest() == (
+        "e5d110a146af1c2de780a49be607d7084ab56f176b2c700f74fe48267de941b7"
+    )
 
 
 def test_bad_document_exit(tmp_path, capsys):

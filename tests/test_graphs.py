@@ -5,10 +5,12 @@ import random
 import pytest
 
 from weilgraph import (
+    Chain1,
     MultiGraph,
     bouquet_graph,
     cycle_graph,
     dumbbell_graph,
+    is_simple_cycle,
     path_graph,
     theta_graph,
 )
@@ -50,16 +52,6 @@ def test_incidence_lists_loops_once():
     assert g.incident_edges(1) == (1, 2)
 
 
-def test_edge_other_end():
-    g = theta_graph()
-    assert g.edge_other_end(0, 0) == 1
-    assert g.edge_other_end(0, 1) == 0
-    loop = bouquet_graph(1)
-    assert loop.edge_other_end(0, 0) == 0
-    with pytest.raises(ValueError):
-        g.edge_other_end(0, 5)
-
-
 def test_components_and_genus():
     assert theta_graph().genus() == 2
     assert dumbbell_graph().genus() == 2
@@ -93,17 +85,6 @@ def test_spanning_forest_greedy_lowest_index():
     assert g.spanning_forest() == frozenset({0, 1})
 
 
-def test_path_in_forest():
-    g = cycle_graph(4)
-    forest = g.spanning_forest()
-    assert g.path_in_forest(forest, 3, 0) == (2, 1, 0)
-    assert g.path_in_forest(forest, 0, 3) == (0, 1, 2)
-    assert g.path_in_forest(forest, 1, 1) == ()
-    split = MultiGraph(4, ((0, 1), (2, 3)))
-    with pytest.raises(ValueError):
-        split.path_in_forest(split.spanning_forest(), 0, 3)
-
-
 def test_non_separating_edges():
     assert dumbbell_graph().non_separating_edges() == frozenset({0, 2})
     assert theta_graph().non_separating_edges() == frozenset({0, 1, 2})
@@ -121,20 +102,41 @@ def _cycle_edges_by_deletion(g):
     )
 
 
-def test_non_separating_edges_against_deletion():
-    for g in connected_multigraphs(6):
-        assert g.non_separating_edges() == _cycle_edges_by_deletion(g)
+def _seeded_graphs():
+    # loops, isolated vertices and split graphs, each in more than 30 of 300
     rng = random.Random(37)
-    seen = {"loop": 0, "isolated": 0, "split": 0}
     for _ in range(300):
         n = rng.randint(1, 9)
         edges = [rng.choices(range(n), k=2) for _ in range(rng.randint(0, 12))]
-        g = MultiGraph(n, tuple(edges))
+        yield MultiGraph(n, tuple(edges))
+
+
+def test_non_separating_edges_against_deletion():
+    for g in connected_multigraphs(6):
+        assert g.non_separating_edges() == _cycle_edges_by_deletion(g)
+    seen = {"loop": 0, "isolated": 0, "split": 0}
+    for g in _seeded_graphs():
         seen["loop"] += any(g.is_loop(e) for e in range(g.edge_count))
-        seen["isolated"] += any(not g.incident_edges(v) for v in range(n))
+        seen["isolated"] += any(not g.incident_edges(v) for v in range(g.vertex_count))
         seen["split"] += g.component_count > 1
         assert g.non_separating_edges() == _cycle_edges_by_deletion(g)
     assert min(seen.values()) > 30, seen
+
+
+def test_fundamental_cycles():
+    assert cycle_graph(4).fundamental_cycles() == {3: frozenset(range(4))}
+    assert dumbbell_graph().fundamental_cycles() == {0: {0}, 2: {2}}
+    assert path_graph(3).fundamental_cycles() == {}
+    for g in [*connected_multigraphs(6), *_seeded_graphs()]:
+        forest = g.spanning_forest()
+        cycles = g.fundamental_cycles()
+        # one cycle per non-forest edge, in edge order, genus of them in all
+        assert list(cycles) == [e for e in range(g.edge_count) if e not in forest]
+        assert len(cycles) == g.genus()
+        for e, support in cycles.items():
+            assert is_simple_cycle(Chain1(g, support))
+            assert e in support
+            assert support <= forest | {e}
 
 
 def test_delete_edges():

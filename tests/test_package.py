@@ -1,6 +1,7 @@
-"""Package-level behavior: the import footprint, the exported names and the
-demo scripts."""
+"""Package-level behavior: the import footprint, the exported names, the
+independence of the routes and the demo scripts."""
 
+import ast
 import hashlib
 import importlib
 import os
@@ -14,6 +15,7 @@ import pytest
 import weilgraph
 
 SRC = Path(weilgraph.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 DEMO_STDOUT_SHA256 = {
     "01_pairing_basics": "e583cf8f43ccab4a3db5c09c8604060682e29a903ae187f887a307955a7bf473",
@@ -67,6 +69,60 @@ def test_every_cache_is_bounded():
     }
     assert caches
     assert [n for n, c in caches.items() if c.cache_parameters()["maxsize"] is None] == []
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _names(node):
+    # every identifier the code reads: bare names and attributes
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_routes_stay_independent():
+    # the cover route never sums supports
+    cover = _tree(SRC / "weilgraph" / "cover.py")
+    from_homology = {
+        alias.name
+        for node in ast.walk(cover)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("homology")
+        for alias in node.names
+    }
+    assert from_homology == {"Chain1", "Cochain1", "is_simple_cycle"}
+    assert _names(cover) & {"_parity", "_pairing_rows", "graph_pairing"} == set()
+
+    # burning reads the Smith form only to choose a principal shift, and the
+    # critical group is read off it
+    sandpile = _tree(SRC / "weilgraph" / "sandpile.py")
+    readers = {
+        getattr(node, "name", type(node).__name__)
+        for node in sandpile.body
+        if getattr(node, "name", None) != "_reduced_smith"
+        and "_reduced_smith" in _names(node)
+    }
+    assert readers == {"_principal_shift", "_critical_group"}
+
+    # the rational oracle of acceptance test 6 calls no package code but
+    # the Laplacian: no Smith form and no burning
+    package_names = {
+        name
+        for mod in pkgutil.iter_modules(weilgraph.__path__)
+        for name in vars(importlib.import_module(f"weilgraph.{mod.name}"))
+    }
+    oracle = next(
+        node
+        for node in ast.walk(_tree(TESTS / "test_acceptance.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "_in_laplacian_image"
+    )
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(oracle)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    assert called & package_names == {"laplacian"}
 
 
 def test_demos_found():

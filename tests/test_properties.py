@@ -45,6 +45,8 @@ from weilgraph import (  # noqa: E402
 from weilgraph.cover import lift_shape_ok  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None)
+# the same draws on every run, so a failure replays
+SEEDED_SETTINGS = settings(PROPERTY_SETTINGS, derandomize=True)
 
 
 @st.composite
@@ -60,14 +62,14 @@ def connected_multigraphs(draw, min_edges=8, max_edges=40):
     return MultiGraph(n, tuple(edges[i] for i in order))
 
 
-@PROPERTY_SETTINGS
+@SEEDED_SETTINGS
 @given(connected_multigraphs())
 def test_pairing_gram_is_identity(graph):
     assert graph.is_connected()
     assert pairing_gram(graph) == GF2Matrix.identity(graph.genus())
 
 
-@PROPERTY_SETTINGS
+@SEEDED_SETTINGS
 @given(connected_multigraphs(), st.data())
 def test_cover_pairing_equals_graph_pairing(graph, data):
     cycles = homology_basis(graph).cycles
@@ -109,7 +111,7 @@ def _in_degree_box(graph, divisor, base):
     )
 
 
-@PROPERTY_SETTINGS
+@SEEDED_SETTINGS
 @given(connected_multigraphs(), st.data())
 def test_burning_agrees_with_rational_oracle(graph, data):
     base = data.draw(st.integers(0, graph.vertex_count - 1))
@@ -122,7 +124,7 @@ def test_burning_agrees_with_rational_oracle(graph, data):
     )
 
 
-@PROPERTY_SETTINGS
+@SEEDED_SETTINGS
 @given(connected_multigraphs(), st.data())
 def test_dhar_reduce_is_idempotent(graph, data):
     base = data.draw(st.integers(0, graph.vertex_count - 1))
@@ -135,12 +137,14 @@ def test_dhar_reduce_is_idempotent(graph, data):
     assert dhar_reduce(graph, red, base) == red
 
 
-@PROPERTY_SETTINGS
+@SEEDED_SETTINGS
 @given(connected_multigraphs())
 def test_critical_group_order_counts_spanning_trees(graph):
     assert critical_group(graph).order() == spanning_tree_count(graph)
 
 
+# Not derandomized: the fixed draws include 42 x 42 reduced Laplacians on
+# which sympy's own Smith form runs for minutes.
 @PROPERTY_SETTINGS
 @given(connected_multigraphs(max_edges=20), st.integers(2, 3), st.integers(1, 3), st.data())
 def test_smith_agrees_with_sympy_on_subdivided_laplacians(graph, r, k, data):
@@ -159,7 +163,7 @@ def test_smith_agrees_with_sympy_on_subdivided_laplacians(graph, r, k, data):
     assert snf.verify()
 
 
-@PROPERTY_SETTINGS
+@SEEDED_SETTINGS
 @given(connected_multigraphs(), st.data())
 def test_two_torsion_criterion(graph, data):
     n, m = graph.vertex_count, graph.edge_count
