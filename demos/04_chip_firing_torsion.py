@@ -58,7 +58,7 @@ def main() -> None:
             f" nonsep-only mode agrees: {nonsep.torsion_count == report.torsion_count}"
         )
         for gen in report.generators:
-            child = report.subdivision.child
+            child = report.subdivision
             assert gen.degree() == 0
             assert divisors_equivalent(child, gen.scale(r), Divisor.zero(child))
     print("every torsion generator has degree 0 and r * generator ~ 0")

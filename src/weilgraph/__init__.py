@@ -22,7 +22,6 @@ from .curvemodel import (
 from .documents import DocumentError, InputDocument, Report
 from .graphs import (
     MultiGraph,
-    SubdivisionMap,
     bouquet_graph,
     cycle_graph,
     dumbbell_graph,
@@ -83,7 +82,6 @@ __all__ = [
     "MultiGraph",
     "Report",
     "SmithForm",
-    "SubdivisionMap",
     "SweepResult",
     "TorsionReport",
     "TwistedCurveModel",

@@ -17,12 +17,10 @@ verification check found a counterexample.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 
 from .cover import build_double_cover, cover_to_dot, lift_cycle
-from .documents import DocumentError, InputDocument, Report
+from .documents import DocumentError, InputDocument, Report, _digest
 from .graphs import MultiGraph
 from .homology import Chain1, Cochain1, graph_pairing, homology_basis, is_perfect_pairing
 from .sandpile import verify_torsion_on_subdivision
@@ -147,7 +145,7 @@ def cmd_cover(args) -> int:
         raise DocumentError("--dot - and --json both write stdout; give --dot a file")
     doc = _read_document(args.graph)
     graph = doc.graph()
-    gamma = Cochain1(graph, _parse_edge_list(args.gamma, graph, "--gamma"))
+    gamma = Cochain1._of(graph, _parse_edge_list(args.gamma, graph, "--gamma"))
     cover = build_double_cover(graph, gamma)
 
     payload = {
@@ -165,7 +163,7 @@ def cmd_cover(args) -> int:
 
     exit_code = EXIT_OK
     if args.alpha is not None:
-        alpha = Chain1(graph, _parse_edge_list(args.alpha, graph, "--alpha"))
+        alpha = Chain1._of(graph, _parse_edge_list(args.alpha, graph, "--alpha"))
         count, components = lift_cycle(cover, alpha)
         bit_cover = 1 if count == 1 else 0
         bit_algebraic = graph_pairing(gamma, alpha)
@@ -269,8 +267,8 @@ def cmd_tropical(args) -> int:
         "r": args.r,
         "mode": args.mode,
         "graph_genus": graph.genus(),
-        "subdivision_vertices": report.subdivision.child.vertex_count,
-        "subdivision_edges": report.subdivision.child.edge_count,
+        "subdivision_vertices": report.subdivision.vertex_count,
+        "subdivision_edges": report.subdivision.edge_count,
         "invariant_factors": list(report.invariant_factors),
         "torsion_count": report.torsion_count,
         "expected": report.expected,
@@ -308,9 +306,7 @@ def cmd_verify(args) -> int:
         "rs": list(rs),
         "inject_fault": args.inject_fault,
     }
-    digest = hashlib.sha256(
-        json.dumps(params, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
+    digest = _digest(params)
 
     results = [
         perfect_pairing_sweep(args.max_edges),

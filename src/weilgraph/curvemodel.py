@@ -20,9 +20,9 @@ reads those blocks.  The form is non-degenerate exactly when every
 non-separating edge has even stabilizer order.
 
 Per graph and per set of even edges, not per model: the reduced graph, its
-kept-edge map, its cycle basis pushed into the parent graph and the h x q
-pairing bits depend on nothing else.  ``_reduced_blocks`` computes them
-once per ``(graph, even_edges)`` key in a bounded ``lru_cache``, and
+cycle basis pushed into the parent graph and the h x q pairing bits depend
+on nothing else.  ``_reduced_blocks`` computes them once per
+``(graph, even_edges)`` key in a bounded ``lru_cache``, and
 ``reduced_graph``, ``reduced_genus``, ``two_torsion_order`` and
 ``weil_form`` all read them from there.  ``reduced_genus`` counts edges,
 vertices and components of the cached reduced graph rather than the cycle
@@ -52,7 +52,6 @@ class _ReducedBlocks(NamedTuple):
     """What a model's torsion and Weil form read from its reduced graph."""
 
     reduced: MultiGraph
-    kept: tuple[int, ...]
     pushed: tuple[Chain1, ...]  # reduced cycle basis, in parent edge indices
     pairing: tuple[int, ...]  # row i, bit j: cocycle i paired with pushed j
     transposed: tuple[int, ...]  # row j, bit i: the same bit
@@ -73,7 +72,7 @@ def _reduced_blocks(graph: MultiGraph, even_edges: EdgeSubset) -> _ReducedBlocks
     pushed_edges = [alpha.edges for alpha in pushed]
     pairing = _pairing_rows(cocycle_edges, pushed_edges)
     transposed = _pairing_rows(pushed_edges, cocycle_edges)
-    return _ReducedBlocks(reduced, kept, pushed, pairing, transposed)
+    return _ReducedBlocks(reduced, pushed, pairing, transposed)
 
 
 @dataclass(frozen=True)
@@ -113,13 +112,12 @@ class TwistedCurveModel:
     def _blocks(self) -> _ReducedBlocks:
         return _reduced_blocks(self.graph, self.even_edges())
 
-    def reduced_graph(self) -> tuple[MultiGraph, tuple[int, ...]]:
-        """Drop the odd-order edges.  Returns the child and the kept map."""
-        blocks = self._blocks()
-        return blocks.reduced, blocks.kept
+    def reduced_graph(self) -> MultiGraph:
+        """The dual graph with the odd-order edges dropped."""
+        return self._blocks().reduced
 
     def reduced_genus(self) -> int:
-        return self.reduced_graph()[0].genus()
+        return self.reduced_graph().genus()
 
     def two_torsion_order(self) -> int:
         """Size of the 2-torsion of the Picard group.
@@ -160,7 +158,6 @@ class TwistedCurveModel:
             off += 2 * gv
         rows += blocks.transposed
         return WeilFormModel(
-            model=self,
             gram=GF2Matrix._of(rows, q_off + q_dim),
             h_dim=h_dim,
             component_dim=comp_dim,
@@ -199,7 +196,6 @@ class WeilFormModel:
     covers instead of through this matrix.
     """
 
-    model: TwistedCurveModel
     gram: GF2Matrix
     h_dim: int
     component_dim: int

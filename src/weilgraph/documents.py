@@ -33,6 +33,16 @@ class DocumentError(ValueError):
     """An input document failed to parse or validate."""
 
 
+def _canonical_json(obj) -> str:
+    """The canonical form: sorted keys, compact separators."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(obj) -> str:
+    """SHA-256 of the canonical form, in hex."""
+    return hashlib.sha256(_canonical_json(obj).encode()).hexdigest()
+
+
 def _expect_int(value, what: str) -> int:
     # bool is an int subclass and must not sneak through
     if isinstance(value, bool) or not isinstance(value, int):
@@ -113,10 +123,10 @@ class InputDocument:
         return out
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_mapping(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_mapping())
 
     def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return _digest(self.to_mapping())
 
     def graph(self) -> MultiGraph:
         return MultiGraph(self.vertices, self.edges)
@@ -141,15 +151,13 @@ class Report:
     schema_version: int = 1
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _canonical_json(
             {
                 "command": self.command,
                 "input_digest": self.input_digest,
                 "payload": self.payload,
                 "schema_version": self.schema_version,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
     @classmethod

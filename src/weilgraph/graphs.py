@@ -3,8 +3,9 @@
 Vertices are the integers ``0 .. vertex_count - 1``.  Edges are unordered
 endpoint pairs kept in a tuple; parallel edges and loops are allowed, and an
 edge is identified by its index in that tuple, never by its endpoints.
-Chains, cochains, stabilizer assignments and subdivision bookkeeping all key
-off those indices, which is why the tuple order is part of the value.
+Chains, cochains and stabilizer assignments all key off those indices, and a
+subdivision lays its edges out in parent edge order, which is why the tuple
+order is part of the value.
 
 Nothing here is oriented.  The homology this feeds lives over GF(2), where an
 edge is just the multiset of its endpoints.
@@ -19,7 +20,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "EdgeSubset",
     "MultiGraph",
-    "SubdivisionMap",
     "bouquet_graph",
     "cycle_graph",
     "dumbbell_graph",
@@ -72,27 +72,9 @@ class MultiGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def is_loop(self, e: int) -> bool:
-        u, v = self.edges[e]
-        return u == v
-
     def degree(self, v: int) -> int:
         """Number of edge endpoints at ``v``.  A loop counts twice."""
         return sum((u == v) + (w == v) for u, w in self.edges)
-
-    @cached_property
-    def _incidence(self) -> tuple[tuple[int, ...], ...]:
-        # Per-vertex tuple of incident edge indices; a loop is listed once.
-        inc: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for e, (u, v) in enumerate(self.edges):
-            inc[u].append(e)
-            if v != u:
-                inc[v].append(e)
-        return tuple(tuple(x) for x in inc)
-
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        """Edges touching ``v``, in index order.  Loops appear once."""
-        return self._incidence[v]
 
     # -- connectivity and genus --------------------------------------------
 
@@ -227,12 +209,15 @@ class MultiGraph:
         child = MultiGraph._of(self.vertex_count, tuple(self.edges[e] for e in kept))
         return child, kept
 
-    def subdivide(self, r: int, which: Iterable[int] | None = None) -> "SubdivisionMap":
+    def subdivide(self, r: int, which: Iterable[int] | None = None) -> "MultiGraph":
         """Divide each edge in ``which`` into ``r`` equal parts.
 
-        ``which`` defaults to every edge.  Parent vertices keep their labels;
-        the interior vertices of the subdivided edges are appended after
-        them, in parent edge order.  ``r == 1`` leaves the graph unchanged.
+        ``which`` defaults to every edge; ``r == 1`` leaves the graph
+        unchanged.  Parent vertex ``i`` is child vertex ``i``.  Child edges
+        follow parent edge order: an edge not divided stays one edge, and
+        edge ``e = (u, v)`` divided becomes ``r`` consecutive child edges
+        running from ``u`` to ``v``.  Their ``r - 1`` interior vertices are
+        appended after the parent vertices, in parent edge order.
         """
         if r < 1:
             raise ValueError("subdivision parameter must be at least 1")
@@ -242,40 +227,15 @@ class MultiGraph:
                 raise ValueError(f"edge index {e} out of range")
 
         new_edges: list[tuple[int, int]] = []
-        edge_paths: list[tuple[int, ...]] = []
         next_vertex = self.vertex_count
         for e, (u, v) in enumerate(self.edges):
             if e not in chosen or r == 1:
-                edge_paths.append((len(new_edges),))
                 new_edges.append((u, v))
                 continue
             waypoints = [u] + [next_vertex + i for i in range(r - 1)] + [v]
             next_vertex += r - 1
-            path = []
-            for a, b in zip(waypoints, waypoints[1:]):
-                path.append(len(new_edges))
-                new_edges.append((a, b))
-            edge_paths.append(tuple(path))
-        child = MultiGraph._of(next_vertex, tuple(new_edges))
-        return SubdivisionMap(
-            parent=self,
-            child=child,
-            edge_paths=tuple(edge_paths),
-        )
-
-
-@dataclass(frozen=True)
-class SubdivisionMap:
-    """Bookkeeping for an edge subdivision.
-
-    Parent vertex ``i`` is child vertex ``i``; the new vertices follow them.
-    ``edge_paths[e]`` lists the child edges that parent edge ``e`` became, in
-    order from its first endpoint to its second.
-    """
-
-    parent: MultiGraph
-    child: MultiGraph
-    edge_paths: tuple[tuple[int, ...], ...]
+            new_edges += zip(waypoints, waypoints[1:])
+        return MultiGraph._of(next_vertex, tuple(new_edges))
 
 
 # -- small stock graphs used throughout tests and demos ----------------------

@@ -78,11 +78,6 @@ class Chain1:
         """A chain on a trusted support: a frozenset of the graph's edge indices."""
         return _trusted(cls, graph, edges)
 
-    def __xor__(self, other: "Chain1") -> "Chain1":
-        if self.graph != other.graph:
-            raise ValueError("chains live on different graphs")
-        return Chain1(self.graph, self.edges ^ other.edges)
-
     def boundary(self) -> "Chain0":
         """Sum of endpoints over GF(2); loops contribute nothing."""
         odd: set[int] = set()
@@ -143,14 +138,6 @@ class Cochain1:
         """A cochain on a trusted support: a frozenset of the graph's edge indices."""
         return _trusted(cls, graph, edges)
 
-    def __xor__(self, other: "Cochain1") -> "Cochain1":
-        if self.graph != other.graph:
-            raise ValueError("cochains live on different graphs")
-        return Cochain1(self.graph, self.edges ^ other.edges)
-
-    def __call__(self, e: int) -> int:
-        return int(e in self.edges)
-
 
 def graph_pairing(gamma: Cochain1, alpha: Chain1) -> int:
     """Evaluate the cochain on the cycle: parity of the common support.
@@ -190,7 +177,6 @@ class HomologyBasis:
     index, which makes the pairing Gram matrix the identity.
     """
 
-    graph: MultiGraph
     forest: frozenset
     cycles: tuple[Chain1, ...]
     cocycles: tuple[Cochain1, ...]
@@ -206,7 +192,6 @@ def homology_basis(graph: MultiGraph) -> HomologyBasis:
     read off ``graph.fundamental_cycles()``; the forest is every other edge."""
     cycles = graph.fundamental_cycles()
     return HomologyBasis(
-        graph,
         frozenset(range(graph.edge_count)).difference(cycles),
         tuple(Chain1._of(graph, c) for c in cycles.values()),
         tuple(Cochain1._of(graph, frozenset({e})) for e in cycles),

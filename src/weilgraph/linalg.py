@@ -107,10 +107,6 @@ class GF2Matrix:
         return mat
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "GF2Matrix":
-        return cls._of((0,) * rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
         return cls._of((1 << i for i in range(n)), n)
 
@@ -220,14 +216,6 @@ class IntMatrix:
         mat.entries = rows
         mat._cols = cols
         return mat
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls._of(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._of(((0,) * cols,) * rows, cols)
 
     @property
     def rows(self) -> int:

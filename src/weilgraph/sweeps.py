@@ -152,10 +152,11 @@ def all_simple_cycles(graph: MultiGraph) -> tuple[Chain1, ...]:
 def _coboundary_basis(graph: MultiGraph) -> Mapping[int, int]:
     """Echelon basis of the coboundary image, as edge bit rows keyed by
     lowest set bit: the coboundary of each vertex is its non-loop edges."""
-    rows = (
-        sum(1 << e for e in graph.incident_edges(w) if not graph.is_loop(e))
-        for w in range(graph.vertex_count)
-    )
+    rows = [0] * graph.vertex_count
+    for e, (u, v) in enumerate(graph.edges):
+        if u != v:
+            rows[u] |= 1 << e
+            rows[v] |= 1 << e
     return MappingProxyType(_echelon(rows))
 
 
@@ -322,7 +323,7 @@ def torsion_sweep(
                 problems = []
                 if count != report.expected or not report.verdict:
                     problems.append("count")
-                child = report.subdivision.child
+                child = report.subdivision
                 for gen in report.generators:
                     if gen.degree() != 0:
                         problems.append("generator-degree")

@@ -43,8 +43,6 @@ def test_chain_validation():
         Chain1(g, frozenset({5}))
     with pytest.raises(ValueError):
         Cochain0(g, frozenset({2}))
-    with pytest.raises(ValueError):
-        Chain1(g, frozenset()) ^ Chain1(dumbbell_graph(), frozenset())
 
 
 def test_boundary():
@@ -103,10 +101,10 @@ def test_pairing_bilinear_and_kills_coboundaries():
         g2 = Cochain1(g, frozenset(e for e in range(m) if rng.random() < 0.4))
         a1 = cycles[rng.randrange(len(cycles))]
         a2 = cycles[rng.randrange(len(cycles))]
-        assert graph_pairing(g1 ^ g2, a1) == (
+        assert graph_pairing(Cochain1(g, g1.edges ^ g2.edges), a1) == (
             graph_pairing(g1, a1) ^ graph_pairing(g2, a1)
         )
-        assert graph_pairing(g1, a1 ^ a2) == (
+        assert graph_pairing(g1, Chain1(g, a1.edges ^ a2.edges)) == (
             graph_pairing(g1, a1) ^ graph_pairing(g1, a2)
         )
         # coboundaries pair to zero with every cycle
@@ -158,7 +156,7 @@ def test_cycles_span_the_kernel_of_the_boundary():
             if u != v:
                 rows[u][e] ^= 1
                 rows[v][e] ^= 1
-        boundary = GF2Matrix(rows) if g.edge_count else GF2Matrix.zeros(g.vertex_count, 0)
+        boundary = GF2Matrix(rows, cols=g.edge_count)
         kernel_dim = g.edge_count - boundary.rank()
         basis = homology_basis(g)
         assert basis.genus == kernel_dim == g.genus()

@@ -27,7 +27,6 @@ def test_gf2_construction_reduces_mod_2():
 
 def test_gf2_identity_and_zeros():
     assert GF2Matrix.identity(3).rank() == 3
-    assert GF2Matrix.zeros(2, 3).rank() == 0
     assert GF2Matrix.identity(0).is_invertible()
 
 
@@ -170,10 +169,8 @@ def _cofactor_det(rows):
 
 
 def test_intmatrix_shapes_and_identity():
-    assert IntMatrix.identity(3).is_identity()
+    assert IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).is_identity()
     assert not IntMatrix([[1, 1], [0, 1]]).is_identity()
-    assert IntMatrix.zeros(2, 3).rows == 2
-    assert IntMatrix.zeros(2, 3).cols == 3
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
@@ -264,7 +261,7 @@ def test_smith_transforms_pinned():
     # the witnesses entry for entry, not only the diagonal: any change to
     # the pivot order, the steps or the way left and right are rebuilt shows
     k4 = IntMatrix([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
-    theta = reduced_laplacian(theta_graph().subdivide(3).child, 0)
+    theta = reduced_laplacian(theta_graph().subdivide(3), 0)
     cases = [
         (
             k4,

@@ -1,5 +1,5 @@
 """Package-level behavior: the import footprint, the exported names, the
-independence of the routes and the demo scripts."""
+independence of the routes, unused imports and the demo scripts."""
 
 import ast
 import hashlib
@@ -123,6 +123,29 @@ def test_routes_stay_independent():
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
     }
     assert called & package_names == {"laplacian"}
+
+
+def test_no_unused_imports():
+    # every name a module imports is read in it; __init__ imports to re-export
+    stale = []
+    for path in sorted((SRC / "weilgraph").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path)
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {
+            n.id
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        stale += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert stale == []
 
 
 def test_demos_found():

@@ -154,7 +154,7 @@ def test_smith_agrees_with_sympy_on_subdivided_laplacians(graph, r, k, data):
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-    child = graph.subdivide(r).child
+    child = graph.subdivide(r)
     base = data.draw(st.integers(0, child.vertex_count - 1))
     rows = [[k * x for x in row] for row in reduced_laplacian(child, base).entries]
     snf = smith_normal_form(IntMatrix(rows))
