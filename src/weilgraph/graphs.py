@@ -72,6 +72,14 @@ class MultiGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    def _edge_subset(self, edges: Iterable[int]) -> EdgeSubset:
+        """``edges`` as a frozenset of ints, each checked to index an edge."""
+        subset = frozenset(int(e) for e in edges)
+        for e in subset:
+            if not (0 <= e < self.edge_count):
+                raise ValueError(f"edge index {e} out of range")
+        return subset
+
     def degree(self, v: int) -> int:
         """Number of edge endpoints at ``v``.  A loop counts twice."""
         return sum((u == v) + (w == v) for u, w in self.edges)
@@ -201,10 +209,7 @@ class MultiGraph:
         Returns ``(child, kept)`` where ``kept[j]`` is the parent index of
         child edge ``j``.  Relative edge order is preserved.
         """
-        dropset = frozenset(drop)
-        for e in dropset:
-            if not (0 <= e < self.edge_count):
-                raise ValueError(f"edge index {e} out of range")
+        dropset = self._edge_subset(drop)
         kept = tuple(e for e in range(self.edge_count) if e not in dropset)
         child = MultiGraph._of(self.vertex_count, tuple(self.edges[e] for e in kept))
         return child, kept
@@ -221,15 +226,12 @@ class MultiGraph:
         """
         if r < 1:
             raise ValueError("subdivision parameter must be at least 1")
-        chosen = frozenset(range(self.edge_count)) if which is None else frozenset(which)
-        for e in chosen:
-            if not (0 <= e < self.edge_count):
-                raise ValueError(f"edge index {e} out of range")
+        chosen = range(self.edge_count) if which is None else self._edge_subset(which)
 
         new_edges: list[tuple[int, int]] = []
         next_vertex = self.vertex_count
         for e, (u, v) in enumerate(self.edges):
-            if e not in chosen or r == 1:
+            if e not in chosen:
                 new_edges.append((u, v))
                 continue
             waypoints = [u] + [next_vertex + i for i in range(r - 1)] + [v]

@@ -39,16 +39,8 @@ __all__ = [
 ]
 
 
-def _check_edges(graph: MultiGraph, edges: frozenset) -> frozenset:
-    edges = frozenset(int(e) for e in edges)
-    for e in edges:
-        if not (0 <= e < graph.edge_count):
-            raise ValueError(f"edge index {e} out of range")
-    return edges
-
-
 def _trusted(cls, graph: MultiGraph, edges: frozenset):
-    # an edge-set wrapper built without _check_edges
+    # an edge-set wrapper built without MultiGraph._edge_subset
     obj = object.__new__(cls)
     object.__setattr__(obj, "graph", graph)
     object.__setattr__(obj, "edges", edges)
@@ -71,7 +63,7 @@ class Chain1:
     edges: frozenset
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", _check_edges(self.graph, self.edges))
+        object.__setattr__(self, "edges", self.graph._edge_subset(self.edges))
 
     @classmethod
     def _of(cls, graph: MultiGraph, edges: frozenset) -> "Chain1":
@@ -131,7 +123,7 @@ class Cochain1:
     edges: frozenset
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", _check_edges(self.graph, self.edges))
+        object.__setattr__(self, "edges", self.graph._edge_subset(self.edges))
 
     @classmethod
     def _of(cls, graph: MultiGraph, edges: frozenset) -> "Cochain1":

@@ -20,9 +20,9 @@ Facts about a graph are derived once per graph, and every check still runs
 once per instance.  Per graph: the simple cycles (validated once by
 ``all_simple_cycles``, then lifted and paired through the unchecked cores
 ``cover._lift_cycle`` and ``homology._parity``), the echelon basis of the
-coboundary image behind ``_is_coboundary`` (an ``lru_cache`` keyed on the
-graph), and, in the model sweep, the reduced-graph blocks of each set of
-even edges (``curvemodel``'s cache, keyed on the graph and that set).  Per
+coboundary image that ``_is_coboundary`` reduces against, and, in the
+model sweep, the reduced-graph blocks of each set of even edges
+(``curvemodel``'s cache, keyed on the graph and that set).  Per
 instance: one double cover and its connectivity, one reduction of the
 cochain against the coboundary basis, one lift and one parity per simple
 cycle, and one Weil form with all of its checks per model.
@@ -35,9 +35,7 @@ which are simple and go through the cover whole.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from itertools import combinations
-from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .cover import _lift_cycle, build_double_cover, lift_shape_ok, pairing_via_cover
@@ -146,10 +144,7 @@ def all_simple_cycles(graph: MultiGraph) -> tuple[Chain1, ...]:
     return tuple(out)
 
 
-# Looked up one graph at a time by the sweep, so any size of one or more
-# gives the same hit rate; the bound only caps memory for long-lived callers.
-@lru_cache(maxsize=256)
-def _coboundary_basis(graph: MultiGraph) -> Mapping[int, int]:
+def _coboundary_basis(graph: MultiGraph) -> dict[int, int]:
     """Echelon basis of the coboundary image, as edge bit rows keyed by
     lowest set bit: the coboundary of each vertex is its non-loop edges."""
     rows = [0] * graph.vertex_count
@@ -157,12 +152,13 @@ def _coboundary_basis(graph: MultiGraph) -> Mapping[int, int]:
         if u != v:
             rows[u] |= 1 << e
             rows[v] |= 1 << e
-    return MappingProxyType(_echelon(rows))
+    return _echelon(rows)
 
 
-def _is_coboundary(graph: MultiGraph, gamma: Cochain1) -> bool:
-    # gamma lies in the image of the vertex-function coboundary map
-    return not _reduce(sum(1 << e for e in gamma.edges), _coboundary_basis(graph))
+def _is_coboundary(basis: Mapping[int, int], gamma: Cochain1) -> bool:
+    # gamma lies in the image of the vertex-function coboundary map, whose
+    # echelon basis is ``basis``
+    return not _reduce(sum(1 << e for e in gamma.edges), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +188,11 @@ def pairing_equivalence_sweep(max_edges: int = 6, inject_fault: bool = False) ->
     fault = inject_fault
     for graph in connected_multigraphs(max_edges):
         cycles = all_simple_cycles(graph)
+        basis = _coboundary_basis(graph)
         for gamma in all_cochains(graph):
             cover = build_double_cover(graph, gamma)
             connected = cover.is_connected()
-            if connected == _is_coboundary(graph, gamma):
+            if connected == _is_coboundary(basis, gamma):
                 res.record(
                     kind="connectivity",
                     graph=graph.edges,

@@ -6,6 +6,7 @@ import pytest
 
 from weilgraph import (
     Chain1,
+    Cochain1,
     MultiGraph,
     bouquet_graph,
     cycle_graph,
@@ -36,6 +37,18 @@ def test_validation():
         cycle_graph(0)
     with pytest.raises(ValueError):
         bouquet_graph(-1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [Chain1, Cochain1, MultiGraph.delete_edges, lambda g, es: g.subdivide(2, which=es)],
+    ids=["Chain1", "Cochain1", "delete_edges", "subdivide"],
+)
+@pytest.mark.parametrize("bad", [-1, theta_graph().edge_count])
+def test_edge_subsets_are_range_checked(build, bad):
+    g = theta_graph()
+    with pytest.raises(ValueError, match=f"^edge index {bad} out of range$"):
+        build(g, frozenset({0, bad}))
 
 
 def test_degree_counts_loops_twice():

@@ -1,5 +1,6 @@
-"""Package-level behavior: the import footprint, the exported names, the
-independence of the routes, unused imports and the demo scripts."""
+"""Package-level behavior: the import footprint, the exported names and
+their single declaration, the independence of the routes, unused imports
+and the demo scripts."""
 
 import ast
 import hashlib
@@ -53,6 +54,36 @@ def test_every_exported_name_resolves():
     exported = [(mod, name) for mod in modules for name in getattr(mod, "__all__", ())]
     assert len(exported) > len(weilgraph.__all__)
     assert [f"{m.__name__}.{n}" for m, n in exported if not hasattr(m, n)] == []
+
+
+def _reexported_modules():
+    # the modules the package re-exports: all but the command line
+    return [
+        importlib.import_module(f"weilgraph.{mod.name}")
+        for mod in pkgutil.iter_modules(weilgraph.__path__)
+        if mod.name != "cli"
+    ]
+
+
+def test_module_exports_are_disjoint():
+    # under wildcard re-exports a name in two modules would be shadowed
+    seen = {}
+    for mod in _reexported_modules():
+        for name in mod.__all__:
+            assert name not in seen, f"{name} in {seen.get(name)} and {mod.__name__}"
+            seen[name] = mod.__name__
+
+
+def test_package_exports_each_module_name_once():
+    modules = _reexported_modules()
+    assert len(modules) == 8
+    assert weilgraph.__all__ == sorted(name for mod in modules for name in mod.__all__)
+    assert [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name in mod.__all__
+        if getattr(weilgraph, name) is not getattr(mod, name)
+    ] == []
 
 
 def test_every_cache_is_bounded():

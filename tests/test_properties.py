@@ -6,11 +6,14 @@ check that the canonical pairing Gram is the identity, that the cover
 route agrees with the support-parity pairing on fundamental cycles, that
 burning agrees with an exact rational solve and is idempotent, that
 the critical group has one element per spanning tree, that the Smith
-form of subdivided reduced Laplacians, and of their multiples, agrees
-with sympy's, and that the 2-torsion count of a decorated model meets
-the Weil form and the nondegeneracy criterion.
+form of subdivided reduced Laplacians, and of their multiples, has the
+determinant as its product and agrees with sympy's on the smaller ones,
+and that the 2-torsion count of a decorated model meets the Weil form
+and the nondegeneracy criterion.  Every test runs on the same draws each
+time.
 """
 
+from math import prod
 from operator import mul
 
 import pytest
@@ -44,9 +47,8 @@ from weilgraph import (  # noqa: E402
 )
 from weilgraph.cover import lift_shape_ok  # noqa: E402
 
-PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None)
 # the same draws on every run, so a failure replays
-SEEDED_SETTINGS = settings(PROPERTY_SETTINGS, derandomize=True)
+SEEDED_SETTINGS = settings(max_examples=100, deadline=None, database=None, derandomize=True)
 
 
 @st.composite
@@ -143,9 +145,15 @@ def test_critical_group_order_counts_spanning_trees(graph):
     assert critical_group(graph).order() == spanning_tree_count(graph)
 
 
-# Not derandomized: the fixed draws include 42 x 42 reduced Laplacians on
-# which sympy's own Smith form runs for minutes.
-@PROPERTY_SETTINGS
+# sympy's own Smith form has a heavy tail on larger draws: up to 1.1 s on
+# random 38 x 38 and 42 x 42 draws of this test, and 18 s, 60 s and over 6
+# minutes on some 42 x 42 draws of an earlier seeded version.  So it runs
+# only on draws with at most 30 rows: 88 of the 100 fixed draws under
+# hypothesis 6.155, where its slowest call took 0.009 s.
+SYMPY_MAX_ROWS = 30
+
+
+@SEEDED_SETTINGS
 @given(connected_multigraphs(max_edges=20), st.integers(2, 3), st.integers(1, 3), st.data())
 def test_smith_agrees_with_sympy_on_subdivided_laplacians(graph, r, k, data):
     # r stays at 2 or 3: sympy's own Smith form took 89 s on one 57 x 57
@@ -158,9 +166,13 @@ def test_smith_agrees_with_sympy_on_subdivided_laplacians(graph, r, k, data):
     base = data.draw(st.integers(0, child.vertex_count - 1))
     rows = [[k * x for x in row] for row in reduced_laplacian(child, base).entries]
     snf = smith_normal_form(IntMatrix(rows))
-    oracle = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
-    assert snf.diagonal == tuple(abs(int(oracle[i, i])) for i in range(len(rows)))
+    # unimodular transforms and the divisibility chain make the diagonal the
+    # Smith form; the Bareiss determinant checks it on its own
     assert snf.verify()
+    assert prod(snf.diagonal) == abs(IntMatrix(rows).det())
+    if len(rows) <= SYMPY_MAX_ROWS:
+        oracle = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert snf.diagonal == tuple(abs(int(oracle[i, i])) for i in range(len(rows)))
 
 
 @SEEDED_SETTINGS
