@@ -92,10 +92,10 @@ def _parse_edge_list(text: str, graph: MultiGraph, what: str) -> frozenset[int]:
     if text.strip() == "":
         return frozenset()
     indices = _parse_ints(text, what, "an edge index")
-    bad = [i for i in indices if not 0 <= i < graph.edge_count]
-    if bad:
-        raise ValueError(f"{what}: edge indices {bad} out of range")
-    return frozenset(indices)
+    try:
+        return graph._edge_subset(indices)
+    except ValueError as err:
+        raise ValueError(f"{what}: {err}") from None
 
 
 def _emit(report: Report, human_lines: list[str], as_json: bool) -> None:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import NamedTuple
 
 from .graphs import EdgeSubset, MultiGraph
@@ -84,8 +85,8 @@ class TwistedCurveModel:
     edge_order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertex_genus", tuple(int(x) for x in self.vertex_genus))
-        object.__setattr__(self, "edge_order", tuple(int(x) for x in self.edge_order))
+        object.__setattr__(self, "vertex_genus", tuple(map(index, self.vertex_genus)))
+        object.__setattr__(self, "edge_order", tuple(map(index, self.edge_order)))
         if len(self.vertex_genus) != self.graph.vertex_count:
             raise ValueError("one genus per vertex required")
         if len(self.edge_order) != self.graph.edge_count:
@@ -176,11 +177,11 @@ class TwoTorsionClass:
     q_part: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "h_part", tuple(int(x) & 1 for x in self.h_part))
+        object.__setattr__(self, "h_part", tuple(index(x) & 1 for x in self.h_part))
         object.__setattr__(
-            self, "component_part", tuple(int(x) & 1 for x in self.component_part)
+            self, "component_part", tuple(index(x) & 1 for x in self.component_part)
         )
-        object.__setattr__(self, "q_part", tuple(int(x) & 1 for x in self.q_part))
+        object.__setattr__(self, "q_part", tuple(index(x) & 1 for x in self.q_part))
 
     def vector(self) -> tuple[int, ...]:
         return self.h_part + self.component_part + self.q_part

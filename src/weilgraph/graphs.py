@@ -9,13 +9,21 @@ order is part of the value.
 
 Nothing here is oriented.  The homology this feeds lives over GF(2), where an
 edge is just the multiset of its endpoints.
+
+One edge walk, ``edge_components``, answers every connectivity question, from
+the genus to the sheets of a cycle's lift.  The component count adds the
+vertices no edge touches and never reads ``spanning_forest``: the model sweep
+checks a torsion order whose exponent is the genus against a form dimension
+that counts fundamental cycles, and a count read off the forest would pass
+that check by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from operator import index
+from typing import Iterable
 
 __all__ = [
     "EdgeSubset",
@@ -48,7 +56,8 @@ class MultiGraph:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
+        object.__setattr__(self, "vertex_count", index(self.vertex_count))
+        edges = tuple((index(u), index(v)) for u, v in self.edges)
         object.__setattr__(self, "edges", edges)
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
@@ -74,7 +83,7 @@ class MultiGraph:
 
     def _edge_subset(self, edges: Iterable[int]) -> EdgeSubset:
         """``edges`` as a frozenset of ints, each checked to index an edge."""
-        subset = frozenset(int(e) for e in edges)
+        subset = frozenset(map(index, edges))
         for e in subset:
             if not (0 <= e < self.edge_count):
                 raise ValueError(f"edge index {e} out of range")
@@ -86,51 +95,37 @@ class MultiGraph:
 
     # -- connectivity and genus --------------------------------------------
 
-    @cached_property
-    def connected_components(self) -> tuple[frozenset[int], ...]:
-        """Vertex sets of the components, ordered by smallest member."""
-        comps = [frozenset(vertices) for vertices, _ in self._walk(range(self.edge_count))]
-        touched = set().union(*comps)
-        comps += [frozenset({v}) for v in range(self.vertex_count) if v not in touched]
-        comps.sort(key=min)
-        return tuple(comps)
-
     def edge_components(self, edges: Iterable[int]) -> tuple[frozenset[int], ...]:
         """Components of the subgraph made of ``edges``, each given as its
-        set of edge indices, ordered by smallest member."""
-        return tuple(frozenset(comp) for _, comp in self._walk(edges))
-
-    def _walk(self, edges: Iterable[int]) -> Iterator[tuple[set[int], list[int]]]:
-        """The components of the subgraph made of ``edges``, as (vertex set,
-        edge list) pairs, in order of smallest edge."""
-        remaining = set(edges)
+        set of edge indices, ordered by smallest member: a depth-first search
+        from each edge in order that takes a vertex's incidence list out of
+        ``at`` on reaching it, so no vertex is walked twice."""
+        ends = self.edges
+        seeds = sorted(set(edges))
         at: dict[int, list[int]] = {}
-        for e in remaining:
-            u, v = self.edges[e]
+        for e in seeds:
+            u, v = ends[e]
             at.setdefault(u, []).append(e)
             if v != u:
                 at.setdefault(v, []).append(e)
-        for seed in sorted(remaining):
-            if seed not in remaining:
-                continue
-            start = self.edges[seed][0]
-            stack, seen, comp = [start], {start}, []
+        components = []
+        for e in seeds:
+            stack, comp = [ends[e][0]], []
             while stack:
                 x = stack.pop()
-                for e in at[x]:
-                    if e in remaining:
-                        remaining.remove(e)
-                        comp.append(e)
-                        u, v = self.edges[e]
-                        y = v if u == x else u
-                        if y not in seen:
-                            seen.add(y)
-                            stack.append(y)
-            yield seen, comp
+                for f in at.pop(x, ()):
+                    comp.append(f)
+                    u, v = ends[f]
+                    stack.append(v if u == x else u)
+            if comp:
+                components.append(frozenset(comp))
+        return tuple(components)
 
-    @property
+    @cached_property
     def component_count(self) -> int:
-        return len(self.connected_components)
+        """Components of the edges, plus one for each vertex no edge touches."""
+        untouched = self.vertex_count - len(set().union(*self.edges))
+        return len(self.edge_components(range(self.edge_count))) + untouched
 
     def is_connected(self) -> bool:
         return self.component_count <= 1

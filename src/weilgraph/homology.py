@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Sequence
 
 from .graphs import MultiGraph
@@ -48,7 +49,7 @@ def _trusted(cls, graph: MultiGraph, edges: frozenset):
 
 
 def _check_vertices(graph: MultiGraph, vertices: frozenset) -> frozenset:
-    vertices = frozenset(int(v) for v in vertices)
+    vertices = frozenset(map(index, vertices))
     for v in vertices:
         if not (0 <= v < graph.vertex_count):
             raise ValueError(f"vertex index {v} out of range")

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -195,7 +195,7 @@ class IntMatrix:
     __slots__ = ("entries", "_cols")
 
     def __init__(self, entries: Iterable[Iterable[int]], *, cols: int | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(index, row)) for row in entries)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -203,10 +203,10 @@ class IntMatrix:
             if cols is not None and cols != width:
                 raise ValueError("cols disagrees with row width")
             self._cols = width
-        elif cols is not None and int(cols) < 0:
+        elif cols is not None and index(cols) < 0:
             raise ValueError(f"negative width {cols}")
         else:
-            self._cols = 0 if cols is None else int(cols)
+            self._cols = 0 if cols is None else index(cols)
         self.entries = rows
 
     @classmethod

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
-from operator import mul, sub
+from operator import index, mul, sub
 from typing import Sequence
 
 from .graphs import MultiGraph
@@ -64,7 +64,7 @@ class Divisor:
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coefficients)
+        coeffs = tuple(map(index, self.coefficients))
         object.__setattr__(self, "coefficients", coeffs)
         if len(coeffs) != self.graph.vertex_count:
             raise ValueError("one coefficient per vertex required")
@@ -90,7 +90,7 @@ class Divisor:
         return Divisor._of(self.graph, tuple(map(sub, self.coefficients, other.coefficients)))
 
     def scale(self, k: int) -> "Divisor":
-        k = int(k)
+        k = index(k)
         return Divisor._of(self.graph, tuple(k * a for a in self.coefficients))
 
 
@@ -110,21 +110,21 @@ def _laplacian_rows(graph: MultiGraph, base: int) -> IntMatrix:
     # the Laplacian without vertex `base`; base == vertex_count keeps all
     n = graph.vertex_count
     k = n - (base < n)
-    index = [v - (v > base) for v in range(n)]
+    slot = [v - (v > base) for v in range(n)]
     entries = [[0] * k for _ in range(k)]
     for u, v in graph.edges:
         if u == v:
             continue
         if u != base:
-            i = index[u]
+            i = slot[u]
             entries[i][i] += 1
             if v != base:
-                entries[i][index[v]] -= 1
+                entries[i][slot[v]] -= 1
         if v != base:
-            j = index[v]
+            j = slot[v]
             entries[j][j] += 1
             if u != base:
-                entries[j][index[u]] -= 1
+                entries[j][slot[u]] -= 1
     return IntMatrix._of(tuple(map(tuple, entries)), k)
 
 

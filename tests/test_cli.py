@@ -306,7 +306,7 @@ def test_gamma_out_of_range(theta_file, capsys):
     for option in ("--gamma", "--alpha"):
         assert main(["cover", "--graph", theta_file, option, "7"]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and f"{option}: edge indices [7] out of range" in err
+        assert out == "" and f"{option}: edge index 7 out of range" in err
 
 
 def test_alpha_not_simple(theta_file, capsys):

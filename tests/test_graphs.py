@@ -6,8 +6,13 @@ import pytest
 
 from weilgraph import (
     Chain1,
+    Cochain0,
     Cochain1,
+    Divisor,
+    IntMatrix,
     MultiGraph,
+    TwistedCurveModel,
+    TwoTorsionClass,
     bouquet_graph,
     cycle_graph,
     dumbbell_graph,
@@ -51,6 +56,28 @@ def test_edge_subsets_are_range_checked(build, bad):
         build(g, frozenset({0, bad}))
 
 
+NON_INTEGER_INPUTS = {
+    "MultiGraph vertex_count": lambda g: MultiGraph(2.5, ()),
+    "MultiGraph endpoint": lambda g: MultiGraph(2, ((0, 1.0),)),
+    "edge subset": lambda g: Chain1(g, frozenset({0.0})),
+    "vertex subset": lambda g: Cochain0(g, frozenset({0.5})),
+    "TwistedCurveModel genus": lambda g: TwistedCurveModel(g, (0.5, 0), (2, 2, 2)),
+    "TwistedCurveModel order": lambda g: TwistedCurveModel(g, (0, 0), (2.5, 2, 2)),
+    "TwoTorsionClass": lambda g: TwoTorsionClass((0.5,), (), ()),
+    "Divisor": lambda g: Divisor(g, (0.5, -0.5)),
+    "Divisor.scale": lambda g: Divisor(g, (1, -1)).scale(0.5),
+    "IntMatrix entry": lambda g: IntMatrix([[1.5]]),
+    "IntMatrix cols": lambda g: IntMatrix([], cols=2.0),
+}
+
+
+@pytest.mark.parametrize("build", NON_INTEGER_INPUTS.values(), ids=NON_INTEGER_INPUTS.keys())
+def test_constructors_reject_non_integers(build):
+    # int() would truncate these: 0.5 chips to zero, an odd order 2.5 to even 2
+    with pytest.raises(TypeError):
+        build(theta_graph())
+
+
 def test_degree_counts_loops_twice():
     g = dumbbell_graph()
     assert g.degree(0) == 3
@@ -72,7 +99,7 @@ def test_components_and_genus():
     assert two_triangles.component_count == 2
     assert not two_triangles.is_connected()
     assert two_triangles.genus() == 2
-    assert two_triangles.connected_components == (
+    assert two_triangles.edge_components(range(6)) == (
         frozenset({0, 1, 2}),
         frozenset({3, 4, 5}),
     )

@@ -136,6 +136,18 @@ def test_routes_stay_independent():
     }
     assert readers == {"_principal_shift", "_critical_group"}
 
+    # the component count, and so the genus, never reads the spanning forest:
+    # the model sweep checks a torsion order whose exponent is the genus
+    # against a form dimension that counts the forest's fundamental cycles
+    graph_defs = {
+        node.name: node
+        for node in ast.walk(_tree(SRC / "weilgraph" / "graphs.py"))
+        if isinstance(node, ast.FunctionDef)
+    }
+    forest_names = {"spanning_forest", "fundamental_cycles", "find", "parent"}
+    for name in ("genus", "component_count", "is_connected", "edge_components"):
+        assert _names(graph_defs[name]) & forest_names == set(), name
+
     # the rational oracle of acceptance test 6 calls no package code but
     # the Laplacian: no Smith form and no burning
     package_names = {
