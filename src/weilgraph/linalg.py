@@ -9,12 +9,13 @@ variables are set to zero).  ``IntMatrix`` and
 counts overflow fixed-width integers quickly.  The Smith form carries
 unimodular transforms on both sides plus the inverse of the left one.
 The inverse is built during elimination, since every critical group reads
-its generators from it; the two transforms, which only the principal shift
-of burning reads, are built from the recorded elimination steps on first
-read.  Its elimination pivots on any entry that divides its whole row
-and column, units first; the pivots it settles need not divide one
-another, and gcd steps on pairs of diagonal entries restore the chain at
-the end (see ``smith_normal_form``).
+its generators from it.  The principal shift of burning needs the two
+transforms only on one vector, so the form applies its recorded
+elimination steps to that vector; the dense transforms are built from the
+same steps, on unit vectors, only when read.  Its elimination pivots on
+any entry that divides its whole row and column, units first; the pivots
+it settles need not divide one another, and gcd steps on pairs of
+diagonal entries restore the chain at the end (see ``smith_normal_form``).
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ class GF2Matrix:
         """One solution of ``A x = b`` or None.  Free variables are zero."""
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        n = self.cols
-        aug = (row | (int(x) & 1) << n for row, x in zip(self._bits, b))
+        n, rhs = self.cols, _pack(b)
+        aug = (row | (rhs >> i & 1) << n for i, row in enumerate(self._bits))
         reduced = _back_substitute(_echelon(aug))
         if 1 << n in reduced:
             return None
@@ -291,14 +292,16 @@ class SmithForm:
     the next, zeros trail.
 
     ``left_inverse`` is built during elimination: every critical group
-    reads its generators from it.  Only burning's principal shift reads
-    ``left`` and ``right``, so the form keeps the elimination's steps in
-    order instead, as ``(steps, order)`` records private to this module:
-    each step is ``(i, j, c)`` for ``ri += c * rj``, ``(i, j, x, y, z,
-    w)`` for ``ri, rj = x*ri + y*rj, z*ri + w*rj``, or ``(i,)`` for ``ri =
-    -ri``.  The first read of ``left`` replays the row steps on the
-    identity and takes its rows in the recorded order; ``right`` does the
-    same with columns.  Each is kept on the form once built.
+    reads its generators from it.  The form keeps the elimination's steps
+    as ``(steps, order)`` records private to this module, which
+    ``left_times`` and ``right_times`` apply to one vector in time linear
+    in the steps: all that burning's principal shift needs.  A step acts
+    on a vector ``u``: ``(i, j, c)`` as ``u[i] += c * u[j]``, ``(i, j, x,
+    y, z, w)`` as ``u[i], u[j] = x*u[i] + y*u[j], z*u[i] + w*u[j]``, and
+    ``(i,)`` as ``u[i] = -u[i]``.  Row steps are kept in the order taken,
+    column steps transposed and last first, since ``right`` is their
+    product from the right.  ``left`` and ``right`` are built from unit
+    vectors only when read.
     """
 
     matrix: IntMatrix
@@ -307,20 +310,33 @@ class SmithForm:
     _row_record: tuple = field(repr=False, compare=False)
     _col_record: tuple = field(repr=False, compare=False)
 
+    def left_times(self, vec: Sequence[int]) -> list[int]:
+        """``left @ vec``, from the recorded row steps."""
+        if len(vec) != self.matrix.rows:
+            raise ValueError("vector length mismatch")
+        steps, order = self._row_record
+        u = list(vec)
+        _apply(steps, u)
+        return [u[i] for i in order]
+
+    def right_times(self, vec: Sequence[int]) -> list[int]:
+        """``right @ vec``, from the recorded column steps."""
+        if len(vec) != self.matrix.cols:
+            raise ValueError("vector length mismatch")
+        steps, order = self._col_record
+        u = [0] * len(vec)
+        for j, x in zip(order, vec):
+            u[j] = x
+        _apply(steps, u)
+        return u
+
     @cached_property
     def left(self) -> IntMatrix:
-        steps, order = self._row_record
-        n = self.matrix.rows
-        rows = _replay(steps, n)
-        return IntMatrix._of(tuple(_dense(rows[i], n) for i in order), n)
+        return _from_columns(self.left_times, self.matrix.rows)
 
     @cached_property
     def right(self) -> IntMatrix:
-        steps, order = self._col_record
-        n = self.matrix.cols
-        cols = _replay(steps, n)
-        picked = [_dense(cols[j], n) for j in order]
-        return IntMatrix._of(tuple(zip(*picked)) if picked else (), n)
+        return _from_columns(self.right_times, self.matrix.cols)
 
     def diagonal_matrix(self) -> IntMatrix:
         r, c = self.matrix.rows, self.matrix.cols
@@ -346,6 +362,26 @@ class SmithForm:
             if a != 0 and b % a != 0:
                 return False
         return True
+
+
+def _apply(steps: Iterable[tuple[int, ...]], u: list[int]) -> None:
+    """Apply recorded steps to the vector ``u`` in place (see ``SmithForm``)."""
+    for step in steps:
+        if len(step) == 3:
+            i, j, c = step
+            u[i] += c * u[j]
+        elif len(step) == 1:
+            (i,) = step
+            u[i] = -u[i]
+        else:
+            i, j, x, y, z, w = step
+            u[i], u[j] = x * u[i] + y * u[j], z * u[i] + w * u[j]
+
+
+def _from_columns(times, n: int) -> IntMatrix:
+    """The ``n x n`` matrix whose column ``k`` is ``times`` of unit vector ``k``."""
+    cols = [times([int(i == k) for i in range(n)]) for k in range(n)]
+    return IntMatrix._of(tuple(zip(*cols)) if cols else (), n)
 
 
 def _axpy(dst: dict[int, int], src: dict[int, int], c: int) -> None:
@@ -375,22 +411,6 @@ def _combine(rows: list[dict[int, int]], i: int, j: int, x: int, y: int, z: int,
                 rows[i][k] = x * p + y * q
             if z * p + w * q:
                 rows[j][k] = z * p + w * q
-
-
-def _replay(steps: Iterable[tuple[int, ...]], n: int) -> list[dict[int, int]]:
-    """The sparse rows of the ``n x n`` identity put through recorded
-    steps, as ``SmithForm`` describes them."""
-    rows = [{i: 1} for i in range(n)]
-    for step in steps:
-        if len(step) == 3:
-            i, j, c = step
-            _axpy(rows[i], rows[j], c)
-        elif len(step) == 1:
-            (i,) = step
-            rows[i] = {k: -x for k, x in rows[i].items()}
-        else:
-            _combine(rows, *step)
-    return rows
 
 
 def _dense(row: dict[int, int], n: int) -> tuple[int, ...]:
@@ -527,9 +547,10 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
 
     ``left_inverse`` is kept as the sparse rows of its transpose and
     updated at each step; a phase-one step changes one entry.  The steps
-    are recorded, and ``left`` and ``right`` are built from them on first
-    read (see ``SmithForm``).  Row and column swaps only reorder the final
-    positions.  Output is deterministic for a given input.
+    are recorded for ``left_times`` and ``right_times``, and ``left`` and
+    ``right`` are built from those only when read (see ``SmithForm``).
+    Row and column swaps only reorder the final positions.  Output is
+    deterministic for a given input.
     """
     R, C = mat.rows, mat.cols
     rows = [{j: x for j, x in enumerate(row) if x} for row in mat.entries]
@@ -542,14 +563,15 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
     col_steps: list[tuple[int, ...]] = []
 
     def row_track(i, j, x, y, z, w):
-        # rows i, j of the matrix combine as given: left replays the step
-        # later, and left_inverse's columns i, j undo it now by the
+        # rows i, j of the matrix combine as given: left_times applies the
+        # step later, and left_inverse's columns i, j undo it now by the
         # inverse-transpose
         row_steps.append((i, j, x, y, z, w))
         _combine(uinv_t, i, j, w, -z, -y, x)
 
-    def col_track(*step):
-        col_steps.append(step)
+    def col_track(i, j, x, y, z, w):
+        # columns i, j combine as given; right_times applies the transpose
+        col_steps.append((i, j, x, z, y, w))
 
     def negate_row(i):
         row_steps.append((i,))
@@ -590,7 +612,8 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
         changed = set(below)
         for j, x in prow.items():
             if j != q:
-                col_steps.append((j, q, -(x // s)))
+                # column j += c * column q, recorded transposed
+                col_steps.append((q, j, -(x // s)))
                 cols[j].discard(p)
                 changed.update(cols[j])
         if s < 0:
@@ -656,5 +679,5 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
         diagonal=tuple(diag[t] for t in order),
         left_inverse=IntMatrix._of(tuple(zip(*uinv_cols)) if uinv_cols else (), R),
         _row_record=(tuple(row_steps), tuple(row_order)),
-        _col_record=(tuple(col_steps), tuple(col_order)),
+        _col_record=(tuple(reversed(col_steps)), tuple(col_order)),
     )

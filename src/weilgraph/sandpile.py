@@ -16,13 +16,16 @@ difference reduces to zero, so an equivalence check burns once.  Burning
 reads the cached Smith form only to pick a principal shift, taken exactly
 when some entry off the base lies outside the degree box
 ``[-deg(v), deg(v)]`` (``deg`` the non-loop degree), the box the shift is
-proven to land in.  Any integer firing vector keeps the divisor class: a
-wrong Smith form could slow burning down but could not change its answer.
-So the two routes can still be played against each other in tests.
-Burning reads one cached table per (graph, base), holding neighbor lists,
-degrees and distances from the base, and moves chips by one firing step,
-``_fire``, whether it shifts, fires balls or fires the unburnt set.  The
-Laplacian matrices are built apart from that table.
+proven to land in.  The shift applies the form's recorded elimination
+steps to its one vector; the dense transforms are built only when read,
+and burning never reads them.  Any integer firing vector keeps the
+divisor class: a wrong Smith form could slow burning down but could not
+change its answer.  So the two routes can still be played against each
+other in tests.  Burning reads one cached table per (graph, base),
+holding neighbor lists, degrees and distances from the base, and moves
+chips by one firing step, ``_fire``, whether it shifts, fires balls or
+fires the unburnt set.  The Laplacian matrices are built apart from that
+table.
 
 The subdivision check at the bottom is the reason this module exists: on
 the r-subdivision of a graph, the r-torsion of the critical group has
@@ -36,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
-from operator import index, mul, sub
+from operator import index, sub
 from typing import Sequence
 
 from .graphs import MultiGraph
@@ -194,22 +197,21 @@ def _principal_shift(graph: MultiGraph, base: int, d: list[int]) -> list[int]:
 
     Solves the reduced Laplacian system ``L x = d`` exactly through the
     cached Smith form, in integers over the common denominator: with ``D``
-    the last invariant factor, ``x * D = V (D / d_i) (U d)_i``.  It rounds
-    the solution to the nearest integer firing vector and applies that
-    firing.  The result is ``L (x - round(x))`` away from the base, so
-    every entry there is bounded by the vertex's non-loop degree wherever
-    ``d`` started.  Only the choice of representative changes: any integer
-    firing vector, even one from a wrong Smith form, leaves the class
-    alone.
+    the last invariant factor, ``x * D = V (D / d_i) (U d)_i``.  The form
+    applies its recorded elimination steps to the vector, first ``U`` and
+    then ``V``, so the shift costs time linear in those steps and no dense
+    transform is built.  It rounds the solution to the nearest integer
+    firing vector and applies that firing.  The result is ``L (x -
+    round(x))`` away from the base, so every entry there is bounded by the
+    vertex's non-loop degree wherever ``d`` started.  Only the choice of
+    representative changes: any integer firing vector, even one from a
+    wrong Smith form, leaves the class alone.
     """
     snf = _reduced_smith(graph, base)
-    rhs = [c for v, c in enumerate(d) if v != base]
     big = snf.diagonal[-1]
-    y = [
-        sum(map(mul, row, rhs)) * (big // dgn)
-        for row, dgn in zip(snf.left.entries, snf.diagonal)
-    ]
-    fire = [(2 * sum(map(mul, row, y)) + big) // (2 * big) for row in snf.right.entries]
+    y = snf.left_times([c for v, c in enumerate(d) if v != base])
+    y = [u * (big // dgn) for u, dgn in zip(y, snf.diagonal)]
+    fire = [(2 * x + big) // (2 * big) for x in snf.right_times(y)]
     fire.insert(base, 0)
     out = list(d)
     _fire(out, _burn_data(graph, base)[0], fire)

@@ -51,6 +51,18 @@ def test_gf2_solve_frozen():
     assert GF2Matrix([[1, 1], [1, 1]]).solve([0, 1]) is None
 
 
+def test_gf2_solve_rejects_non_integers():
+    # the right-hand side is packed as mul_vec packs its vector, so a float
+    # raises instead of truncating to a bit
+    a = GF2Matrix.identity(2)
+    assert a.solve([1, 0]) == (1, 0)
+    for vec in ([1.5, 0], [0, 2.0]):
+        with pytest.raises(TypeError):
+            a.solve(vec)
+        with pytest.raises(TypeError):
+            a.mul_vec(vec)
+
+
 def test_gf2_symmetry_flags():
     assert GF2Matrix([[0, 1], [1, 0]]).is_symmetric()
     assert GF2Matrix([[0, 1], [1, 0]]).has_zero_diagonal()
@@ -337,6 +349,25 @@ def test_smith_random_property_sweep():
             for m in minors:
                 g = gcd(g, m)
             assert prod(snf.diagonal[:k]) == g
+
+
+def test_smith_applies_its_steps_to_vectors():
+    # left @ matrix @ right == diag, read on vectors through the recorded
+    # steps alone: no dense transform is built
+    rng = random.Random(29)
+    for _ in range(300):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        rows = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
+        snf = smith_normal_form(IntMatrix(rows, cols=c))
+        y = [rng.randint(-50, 50) for _ in range(c)]
+        x = snf.right_times(y)
+        image = snf.left_times([sum(a * b for a, b in zip(row, x)) for row in rows])
+        assert image == [d * t for d, t in zip(snf.diagonal, y)] + [0] * (r - len(snf.diagonal))
+        assert "left" not in vars(snf) and "right" not in vars(snf)
+        with pytest.raises(ValueError):
+            snf.left_times([0] * (r + 1))
+        with pytest.raises(ValueError):
+            snf.right_times([0] * (c + 1))
 
 
 def test_smith_against_sympy_on_random_matrices():

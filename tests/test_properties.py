@@ -5,22 +5,26 @@ multigraphs with 8 to 40 edges, loops and parallel edges included, and
 check that the canonical pairing Gram is the identity, that the cover
 route agrees with the support-parity pairing on fundamental cycles, that
 burning agrees with an exact rational solve and is idempotent, that
-the critical group has one element per spanning tree, that the Smith
-form of subdivided reduced Laplacians, and of their multiples, has the
-determinant as its product and agrees with sympy's on the smaller ones,
-and that the 2-torsion count of a decorated model meets the Weil form
-and the nondegeneracy criterion.  On any multigraph of up to 40 vertices,
-connected or not, the components and the genus agree with networkx's.
+burning's principal shift is the rounded rational solution, that
+subdividing each edge into r parts realizes r to the genus r-torsion
+classes of order r, that the critical group has one element per spanning
+tree, that the Smith form of subdivided reduced Laplacians, and of their
+multiples, has the determinant as its product and agrees with sympy's on
+the smaller ones, and that the 2-torsion count of a decorated model meets
+the Weil form and the nondegeneracy criterion.  On any multigraph of up
+to 40 vertices, connected or not, the components and the genus agree
+with networkx's.
 Every test runs on the same draws each time.
 """
 
-from math import prod
+from fractions import Fraction
+from math import floor, prod
 from operator import mul
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, note, settings  # noqa: E402
+from hypothesis import assume, given, note, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from test_acceptance import _in_laplacian_image  # noqa: E402
@@ -45,8 +49,10 @@ from weilgraph import (  # noqa: E402
     reduced_laplacian,
     smith_normal_form,
     spanning_tree_count,
+    verify_torsion_on_subdivision,
 )
 from weilgraph.cover import lift_shape_ok  # noqa: E402
+from weilgraph.sandpile import _principal_shift  # noqa: E402
 
 # the same draws on every run, so a failure replays
 SEEDED_SETTINGS = settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -184,6 +190,59 @@ def test_dhar_reduce_is_idempotent(graph, data):
     assert all(c >= 0 for v, c in enumerate(red.coefficients) if v != base)
     assert _in_degree_box(graph, red, base)
     assert dhar_reduce(graph, red, base) == red
+
+
+def _rational_solution(graph, base, d):
+    """The solution of the reduced system ``L x = d`` (the base row and
+    column deleted, ``x`` zero at the base) by Gauss-Jordan elimination
+    over the rationals: no Smith form."""
+    lap = laplacian(graph).entries
+    keep = [v for v in range(graph.vertex_count) if v != base]
+    a = [[Fraction(lap[v][w]) for w in keep] + [Fraction(d[v])] for v in keep]
+    k = len(keep)
+    for col in range(k):
+        piv = next(r for r in range(col, k) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        pivot_row = [(j, y) for j, y in enumerate(a[col]) if y]
+        for r in range(k):
+            f = a[r][col]
+            if r != col and f:
+                for j, y in pivot_row:
+                    a[r][j] -= f * y
+    x = [Fraction(0)] * graph.vertex_count
+    for v, row in zip(keep, a):
+        x[v] = row[k]
+    return x
+
+
+@SEEDED_SETTINGS
+@given(connected_multigraphs(), st.data())
+def test_principal_shift_is_the_rounded_rational_solution(graph, data):
+    # the shift applies the Smith form's recorded steps to its vector; the
+    # oracle solves the same system on its own and rounds half up
+    assume(graph.vertex_count > 1)
+    base = data.draw(st.integers(0, graph.vertex_count - 1))
+    d = list(data.draw(divisors(graph)).coefficients)
+    fire = [floor(x + Fraction(1, 2)) for x in _rational_solution(graph, base, d)]
+    lap = laplacian(graph).entries
+    expect = [c - sum(map(mul, row, fire)) for c, row in zip(d, lap)]
+    assert _principal_shift(graph, base, d) == expect
+
+
+@SEEDED_SETTINGS
+@given(st.integers(2, 5), st.data())
+def test_subdivision_torsion_past_six_edges(r, data):
+    # the tropical claim the torsion sweep checks up to six edges, here on
+    # 8 to 40 edges with r * edges <= 120, in both subdivision modes
+    graph = data.draw(connected_multigraphs(max_edges=120 // r))
+    for mode in ("all", "nonsep"):
+        rep = verify_torsion_on_subdivision(graph, r, mode)
+        assert rep.verdict and rep.torsion_count == r ** graph.genus()
+        child = rep.subdivision
+        for gen in rep.generators:
+            assert gen.degree() == 0
+            assert divisors_equivalent(child, gen.scale(r), Divisor.zero(child))
 
 
 @SEEDED_SETTINGS

@@ -1,6 +1,6 @@
 """Chip firing: reduced divisors, critical groups, torsion on subdivisions."""
 
-import copy
+import dataclasses
 import random
 from functools import lru_cache
 
@@ -297,34 +297,71 @@ def test_burn_caches_miss_as_if_unbounded(monkeypatch):
 
 
 def test_generators_leave_left_and_right_unbuilt(monkeypatch):
-    # generators come from left_inverse alone: left and right are replayed
-    # from the recorded steps only when something, like the shift, reads them
-    replayed = []
-    honest = linalg._replay
+    # generators come from left_inverse alone, and the shift applies the
+    # recorded steps to its vector: left and right are built only when read
+    built = []
+    honest = linalg._from_columns
 
-    def spy(steps, n):
-        replayed.append(n)
-        return honest(steps, n)
+    def spy(times, n):
+        built.append(n)
+        return honest(times, n)
 
-    monkeypatch.setattr(linalg, "_replay", spy)
+    monkeypatch.setattr(linalg, "_from_columns", spy)
     sandpile._reduced_smith.cache_clear()
     rep = verify_torsion_on_subdivision(theta_graph(), 3)
     assert rep.verdict and rep.invariant_factors == (3, 9)
     assert critical_group(K4).invariant_factors == (4, 4)
-    assert not replayed
+    assert not built
     for graph in (rep.subdivision, K4):
         snf = sandpile._reduced_smith(graph, 0)
         assert "left" not in vars(snf) and "right" not in vars(snf)
         assert snf.verify()
-    assert replayed == [7, 7, 3, 3]
+    assert built == [7, 7, 3, 3]
+
+    # a whole sweep shifts, and still no form builds either transform
+    forms, shifts = [], []
+    honest_form, honest_shift = sandpile.smith_normal_form, sandpile._principal_shift
+
+    def form_spy(mat):
+        forms.append(honest_form(mat))
+        return forms[-1]
+
+    def shift_spy(graph, base, d):
+        shifts.append(base)
+        return honest_shift(graph, base, d)
+
+    monkeypatch.setattr(sandpile, "smith_normal_form", form_spy)
+    monkeypatch.setattr(sandpile, "_principal_shift", shift_spy)
+    built.clear()
+    sandpile._reduced_smith.cache_clear()
+    assert torsion_sweep(3, rs=(2, 3)).ok
+    assert shifts and forms
+    assert not built
+    assert [f for f in forms if "left" in vars(f) or "right" in vars(f)] == []
 
 
-def _with_transforms(snf, **transforms):
-    # a copy of a Smith form whose named transforms read as given; left and
-    # right are built on first read, so dataclasses.replace cannot set them
-    form = copy.copy(snf)
-    vars(form).update(transforms)
-    return form
+def _noisy_shears(rng):
+    # a corruption: seeded noise on every recorded shear coefficient, so
+    # left and right stay unimodular but are no longer the form's
+    def noisy(record):
+        steps, order = record
+        steps = tuple(
+            (s[0], s[1], s[2] + rng.randint(-3, 3)) if len(s) == 3 else s for s in steps
+        )
+        return steps, order
+
+    def corrupt(snf):
+        return dataclasses.replace(
+            snf, _row_record=noisy(snf._row_record), _col_record=noisy(snf._col_record)
+        )
+
+    return corrupt
+
+
+def _hand_out(monkeypatch, corrupt):
+    # every cached Smith form handed out as corrupt(form)
+    honest = sandpile._reduced_smith
+    monkeypatch.setattr(sandpile, "_reduced_smith", lambda g, base: corrupt(honest(g, base)))
 
 
 def test_burning_survives_a_corrupted_smith_form(monkeypatch):
@@ -341,16 +378,7 @@ def test_burning_survives_a_corrupted_smith_form(monkeypatch):
     clean = [dhar_reduce(g, d, base) for g, d, base in cases]
     clean_shifts = [_principal_shift(g, base, list(d.coefficients)) for g, d, base in cases]
 
-    def noise(mat):
-        return IntMatrix([[x + rng.randint(-3, 3) for x in row] for row in mat.entries])
-
-    honest = sandpile._reduced_smith
-
-    def corrupted(g, base):
-        snf = honest(g, base)
-        return _with_transforms(snf, left=noise(snf.left), right=noise(snf.right))
-
-    monkeypatch.setattr(sandpile, "_reduced_smith", corrupted)
+    _hand_out(monkeypatch, _noisy_shears(rng))
     shifts = [_principal_shift(g, base, list(d.coefficients)) for g, d, base in cases]
     assert shifts != clean_shifts
     assert [dhar_reduce(g, d, base) for g, d, base in cases] == clean
@@ -410,30 +438,21 @@ def test_shift_fires_exactly_outside_the_degree_box(monkeypatch):
     assert shifted
 
 
-def _corrupt_smith(monkeypatch, *fields):
-    # every cached Smith form handed out with +1 on the first row of each
-    # named transform
-    def bump_first_row(mat):
-        rows = [list(row) for row in mat.entries]
-        if rows:
-            rows[0] = [x + 1 for x in rows[0]]
-        return IntMatrix(rows, cols=mat.cols)
-
-    honest = sandpile._reduced_smith
-
-    def corrupted(g, base):
-        snf = honest(g, base)
-        return _with_transforms(
-            snf, **{name: bump_first_row(getattr(snf, name)) for name in fields}
-        )
-
-    monkeypatch.setattr(sandpile, "_reduced_smith", corrupted)
+def _bump_first_row(mat):
+    # +1 on the first row
+    rows = [list(row) for row in mat.entries]
+    if rows:
+        rows[0] = [x + 1 for x in rows[0]]
+    return IntMatrix(rows, cols=mat.cols)
 
 
 def test_torsion_sweep_catches_wrong_generators(monkeypatch):
     # generators come from the left inverse; burning must see that r times
     # a wrong one is not principal, whatever shift it takes on the way
-    _corrupt_smith(monkeypatch, "left_inverse")
+    _hand_out(
+        monkeypatch,
+        lambda snf: dataclasses.replace(snf, left_inverse=_bump_first_row(snf.left_inverse)),
+    )
     res = torsion_sweep(4, rs=(2, 3, 4, 5))
     assert res.instances == 1080
     assert res.failure_count > 0
@@ -441,9 +460,9 @@ def test_torsion_sweep_catches_wrong_generators(monkeypatch):
 
 
 def test_torsion_sweep_ignores_a_wrong_shift(monkeypatch):
-    # left and right feed only the shift: a wrong one lands outside the
+    # the recorded steps feed only the shift: a wrong one lands outside the
     # degree box, but no shift can change a verdict
-    _corrupt_smith(monkeypatch, "left", "right")
+    _hand_out(monkeypatch, _noisy_shears(random.Random(43)))
     outside = []
     honest = sandpile._principal_shift
 
