@@ -104,25 +104,25 @@ def connected_multigraphs(max_edges: int) -> Iterator[MultiGraph]:
         raise ValueError("edge bound must be non-negative")
     yield MultiGraph(1, ())
     for m in range(1, max_edges + 1):
-        yield from _connected_with_edges(m)
+        yield from _connected_with_edges([], m, 1)
 
 
-def _connected_with_edges(m: int) -> Iterator[MultiGraph]:
-    edges: list[tuple[int, int]] = []
-
-    def grow(used: int) -> Iterator[MultiGraph]:
-        if len(edges) == m:
-            yield MultiGraph(used, tuple(edges))
-            return
-        lu, lv = edges[-1] if edges else (0, 0)
-        for u in range(lu, used):
-            start = lv if u == lu else u
-            for v in range(start, used + 1):
-                edges.append((u, v))
-                yield from grow(used + 1 if v == used else used)
-                edges.pop()
-
-    yield from grow(1)
+def _connected_with_edges(
+    edges: list[tuple[int, int]], m: int, used: int
+) -> Iterator[MultiGraph]:
+    # extend the sorted first-use edge list ``edges`` on ``used`` vertices
+    # to m edges; a module-level generator, not a closure, so an exhausted
+    # enumeration leaves no function-cell cycle for the collector
+    if len(edges) == m:
+        yield MultiGraph(used, tuple(edges))
+        return
+    lu, lv = edges[-1] if edges else (0, 0)
+    for u in range(lu, used):
+        start = lv if u == lu else u
+        for v in range(start, used + 1):
+            edges.append((u, v))
+            yield from _connected_with_edges(edges, m, used + 1 if v == used else used)
+            edges.pop()
 
 
 def all_cochains(graph: MultiGraph) -> Iterator[Cochain1]:
@@ -133,11 +133,21 @@ def all_cochains(graph: MultiGraph) -> Iterator[Cochain1]:
 
 
 def all_simple_cycles(graph: MultiGraph) -> tuple[Chain1, ...]:
-    """Every simple cycle, by subset search.  Exponential; sweep-sized only."""
+    """Every simple cycle, by subset search.  Exponential; sweep-sized only.
+
+    A subset whose GF(2) boundary is nonzero is no cycle and is skipped
+    before any chain is built; every other one goes to ``is_simple_cycle``.
+    """
     out: list[Chain1] = []
     m = graph.edge_count
+    ends = [(1 << u) ^ (1 << v) for u, v in graph.edges]
     for size in range(1, m + 1):
         for combo in combinations(range(m), size):
+            boundary = 0
+            for e in combo:
+                boundary ^= ends[e]
+            if boundary:
+                continue
             chain = Chain1._of(graph, frozenset(combo))
             if is_simple_cycle(chain):
                 out.append(chain)

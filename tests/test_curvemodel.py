@@ -1,6 +1,7 @@
 """Decorated dual graphs: 2-torsion counts and the Weil form."""
 
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -16,8 +17,10 @@ from weilgraph import (
     dumbbell_graph,
     graph_pairing,
     homology_basis,
+    model_sweep,
     theta_graph,
 )
+from weilgraph import cli, curvemodel, homology
 
 POINT = MultiGraph(1, ())
 
@@ -221,3 +224,25 @@ def test_reduced_blocks_are_per_graph():
         form = model.weil_form()
         assert all(c.graph == graph for c in form.reduced_cycles)
         assert {c.edges for c in form.reduced_cycles} == expected[graph]
+
+
+def test_gf2_caches_miss_as_if_unbounded(monkeypatch):
+    # the model sweep reuses a basis only among neighbouring graphs and a
+    # reduced block only within one even-edge set, so the bounds on both
+    # caches cost no misses; homology_basis is bound by name in three modules
+    def misses():
+        homology.homology_basis.cache_clear()
+        curvemodel._reduced_blocks.cache_clear()
+        assert model_sweep(4).ok
+        return [
+            homology.homology_basis.cache_info().misses,
+            curvemodel._reduced_blocks.cache_info().misses,
+        ]
+
+    bounded = misses()
+    basis = lru_cache(maxsize=None)(homology.homology_basis.__wrapped__)
+    for module in (homology, curvemodel, cli):
+        monkeypatch.setattr(module, "homology_basis", basis)
+    blocks = lru_cache(maxsize=None)(curvemodel._reduced_blocks.__wrapped__)
+    monkeypatch.setattr(curvemodel, "_reduced_blocks", blocks)
+    assert misses() == bounded

@@ -1,10 +1,12 @@
 """The exhaustive sweeps and the enumerator that feeds them."""
 
-from itertools import combinations_with_replacement, permutations
+import gc
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
 from weilgraph import (
+    Chain1,
     Cochain1,
     GF2Matrix,
     MultiGraph,
@@ -12,6 +14,7 @@ from weilgraph import (
     all_cochains,
     all_simple_cycles,
     connected_multigraphs,
+    is_simple_cycle,
     model_sweep,
     pairing_equivalence_sweep,
     perfect_pairing_sweep,
@@ -81,6 +84,32 @@ def test_all_simple_cycles():
     # four triangles plus three quadrilaterals
     assert len(all_simple_cycles(K4)) == 7
     assert all_simple_cycles(MultiGraph(2, ((0, 1),))) == ()
+
+
+def test_all_simple_cycles_match_plain_subset_search():
+    # the boundary filter drops only subsets that are no cycle at all
+    total = 0
+    for g in connected_multigraphs(6):
+        m = g.edge_count
+        plain = []
+        for size in range(1, m + 1):
+            for combo in combinations(range(m), size):
+                chain = Chain1(g, frozenset(combo))
+                if is_simple_cycle(chain):
+                    plain.append(chain)
+        assert all_simple_cycles(g) == tuple(plain), g.edges
+        total += len(plain)
+    assert total == 7929
+
+
+def test_enumerator_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        assert sum(1 for _ in connected_multigraphs(5)) == 647
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_is_coboundary():
