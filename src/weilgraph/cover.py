@@ -58,8 +58,11 @@ class DoubleCover:
 
         Equivalent to the classifying cochain being cohomologically
         nontrivial; the implementation just walks the total graph so the
-        equivalence stays checkable from outside.
+        equivalence stays checkable from outside.  The empty base has no
+        such cochain (its one cochain is zero, a coboundary), so it raises.
         """
+        if self.base.vertex_count == 0:
+            raise ValueError("connectivity of a cover of the empty graph: it has no vertices")
         if not self.base.is_connected():
             raise ValueError("connectivity of the cover needs a connected base")
         return self.total.is_connected()

@@ -4,18 +4,18 @@ Two worlds live here.  ``GF2Matrix`` keeps each row as a Python int whose
 bit ``j`` is column ``j``.  Its one elimination, ``_echelon``, XORs whole
 rows into a basis keyed by lowest set bit; solve adds a back-substitution
 pass to the unique reduced echelon form, so its convention is fixed (free
-variables are set to zero).  ``IntMatrix`` and
-``smith_normal_form`` work over native Python ints, because spanning-tree
-counts overflow fixed-width integers quickly.  The Smith form carries
-unimodular transforms on both sides plus the inverse of the left one.
-The inverse is built during elimination, since every critical group reads
-its generators from it.  The principal shift of burning needs the two
-transforms only on one vector, so the form applies its recorded
-elimination steps to that vector; the dense transforms are built from the
-same steps, on unit vectors, only when read.  Its elimination pivots on
-any entry that divides its whole row and column, units first; the pivots
-it settles need not divide one another, and gcd steps on pairs of
-diagonal entries restore the chain at the end (see ``smith_normal_form``).
+variables are set to zero).  ``IntMatrix`` and ``smith_normal_form``
+work over native Python ints, because spanning-tree counts overflow
+fixed-width integers quickly.  The Smith form records its elimination
+steps and nothing more.  The principal shift of burning needs the two
+transforms only on one vector, so the form applies the steps to that
+vector; a critical group needs a few columns of the left transform's
+inverse, so the form undoes the row steps on those unit vectors.  The
+dense transforms and the inverse are built from the same steps only when
+read.  Its elimination pivots on any entry that divides its whole row and
+column, units first; the pivots it settles need not divide one another,
+and gcd steps on pairs of diagonal entries restore the chain at the end
+(see ``smith_normal_form``).
 """
 
 from __future__ import annotations
@@ -291,22 +291,22 @@ class SmithForm:
     inverse of ``left``.  Diagonal entries are non-negative, each divides
     the next, zeros trail.
 
-    ``left_inverse`` is built during elimination: every critical group
-    reads its generators from it.  The form keeps the elimination's steps
-    as ``(steps, order)`` records private to this module, which
-    ``left_times`` and ``right_times`` apply to one vector in time linear
-    in the steps: all that burning's principal shift needs.  A step acts
-    on a vector ``u``: ``(i, j, c)`` as ``u[i] += c * u[j]``, ``(i, j, x,
-    y, z, w)`` as ``u[i], u[j] = x*u[i] + y*u[j], z*u[i] + w*u[j]``, and
+    The form keeps the elimination's steps as ``(steps, order)`` records
+    private to this module, and nothing else.  ``left_times`` and
+    ``right_times`` apply them to one vector in time linear in the steps:
+    all that burning's principal shift needs.  ``left_inverse_columns``
+    undoes the row steps on a few unit vectors: all that a critical
+    group's generators need.  A step acts on a vector ``u``: ``(i, j, c)``
+    as ``u[i] += c * u[j]``, ``(i, j, x, y, z, w)`` as ``u[i], u[j] =
+    x*u[i] + y*u[j], z*u[i] + w*u[j]`` with ``x*w - y*z == 1``, and
     ``(i,)`` as ``u[i] = -u[i]``.  Row steps are kept in the order taken,
     column steps transposed and last first, since ``right`` is their
-    product from the right.  ``left`` and ``right`` are built from unit
-    vectors only when read.
+    product from the right.  ``left``, ``right`` and ``left_inverse`` are
+    built from the records only when read.
     """
 
     matrix: IntMatrix
     diagonal: tuple[int, ...]
-    left_inverse: IntMatrix
     _row_record: tuple = field(repr=False, compare=False)
     _col_record: tuple = field(repr=False, compare=False)
 
@@ -330,6 +330,42 @@ class SmithForm:
         _apply(steps, u)
         return u
 
+    def left_inverse_columns(self, positions: Sequence[int]) -> list[tuple[int, ...]]:
+        """Columns ``positions`` of ``left_inverse``, in the order given.
+
+        One pass undoes the row steps, last first, on a block holding all
+        the requested unit vectors: row ``i`` of the block is entry ``i``
+        of each column.  Every step has determinant one, so ``(i, j, c)``
+        is undone as ``u[i] -= c * u[j]`` and ``(i, j, x, y, z, w)`` by
+        ``(w, -y; -z, x)``; a shear whose source row is zero is skipped.
+        """
+        steps, order = self._row_record
+        rows, k = self.matrix.rows, len(positions)
+        block = [[0] * k for _ in range(rows)]
+        for t, p in enumerate(positions):
+            if not 0 <= p < rows:
+                raise IndexError(f"no position {p} in a form of {rows} rows")
+            block[order[p]][t] = 1
+        for step in reversed(steps):
+            if len(step) == 1:
+                (i,) = step
+                block[i] = [-a for a in block[i]]
+                continue
+            if len(step) == 3:
+                i, j, c = step
+            else:
+                i, j, x, y, z, w = step
+                if (x, z, w) != (1, 0, 1):
+                    bi, bj = block[i], block[j]
+                    block[i] = [w * a - y * b for a, b in zip(bi, bj)]
+                    block[j] = [x * b - z * a for a, b in zip(bi, bj)]
+                    continue
+                c = y  # a shear written as a 2 x 2 step
+            src = block[j]
+            if any(src):
+                block[i] = [a - c * b for a, b in zip(block[i], src)]
+        return list(zip(*block))
+
     @cached_property
     def left(self) -> IntMatrix:
         return _from_columns(self.left_times, self.matrix.rows)
@@ -337,6 +373,11 @@ class SmithForm:
     @cached_property
     def right(self) -> IntMatrix:
         return _from_columns(self.right_times, self.matrix.cols)
+
+    @cached_property
+    def left_inverse(self) -> IntMatrix:
+        n = self.matrix.rows
+        return IntMatrix._of(tuple(zip(*self.left_inverse_columns(range(n)))), n)
 
     def diagonal_matrix(self) -> IntMatrix:
         r, c = self.matrix.rows, self.matrix.cols
@@ -381,43 +422,7 @@ def _apply(steps: Iterable[tuple[int, ...]], u: list[int]) -> None:
 def _from_columns(times, n: int) -> IntMatrix:
     """The ``n x n`` matrix whose column ``k`` is ``times`` of unit vector ``k``."""
     cols = [times([int(i == k) for i in range(n)]) for k in range(n)]
-    return IntMatrix._of(tuple(zip(*cols)) if cols else (), n)
-
-
-def _axpy(dst: dict[int, int], src: dict[int, int], c: int) -> None:
-    """Sparse ``dst += c * src``, dropping entries that cancel."""
-    if not c:
-        return
-    for k, x in src.items():
-        y = dst.get(k, 0) + c * x
-        if y:
-            dst[k] = y
-        else:
-            del dst[k]
-
-
-def _combine(rows: list[dict[int, int]], i: int, j: int, x: int, y: int, z: int, w: int) -> None:
-    """Sparse rows ``i, j`` become ``x*ri + y*rj`` and ``z*ri + w*rj``."""
-    if (x, z, w) == (1, 0, 1):
-        _axpy(rows[i], rows[j], y)
-    elif (x, y, w) == (1, 0, 1):
-        _axpy(rows[j], rows[i], z)
-    else:
-        ri, rj = rows[i], rows[j]
-        rows[i], rows[j] = {}, {}
-        for k in ri.keys() | rj.keys():
-            p, q = ri.get(k, 0), rj.get(k, 0)
-            if x * p + y * q:
-                rows[i][k] = x * p + y * q
-            if z * p + w * q:
-                rows[j][k] = z * p + w * q
-
-
-def _dense(row: dict[int, int], n: int) -> tuple[int, ...]:
-    out = [0] * n
-    for k, x in row.items():
-        out[k] = x
-    return tuple(out)
+    return IntMatrix._of(tuple(zip(*cols)), n)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -545,12 +550,11 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
     second phase's diagonal together, makes each entry divide the next,
     zeros last.  Units divide everything and stay in front.
 
-    ``left_inverse`` is kept as the sparse rows of its transpose and
-    updated at each step; a phase-one step changes one entry.  The steps
-    are recorded for ``left_times`` and ``right_times``, and ``left`` and
-    ``right`` are built from those only when read (see ``SmithForm``).
-    Row and column swaps only reorder the final positions.  Output is
-    deterministic for a given input.
+    The steps are only recorded: ``left_times``, ``right_times`` and
+    ``left_inverse_columns`` read them, and ``left``, ``right`` and
+    ``left_inverse`` are built from them only when read (see
+    ``SmithForm``).  Row and column swaps only reorder the final
+    positions.  Output is deterministic for a given input.
     """
     R, C = mat.rows, mat.cols
     rows = [{j: x for j, x in enumerate(row) if x} for row in mat.entries]
@@ -558,24 +562,16 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    uinv_t = [{i: 1} for i in range(R)]  # rows of left_inverse's transpose
     row_steps: list[tuple[int, ...]] = []
     col_steps: list[tuple[int, ...]] = []
 
     def row_track(i, j, x, y, z, w):
-        # rows i, j of the matrix combine as given: left_times applies the
-        # step later, and left_inverse's columns i, j undo it now by the
-        # inverse-transpose
+        # rows i, j of the matrix combine as given
         row_steps.append((i, j, x, y, z, w))
-        _combine(uinv_t, i, j, w, -z, -y, x)
 
     def col_track(i, j, x, y, z, w):
         # columns i, j combine as given; right_times applies the transpose
         col_steps.append((i, j, x, z, y, w))
-
-    def negate_row(i):
-        row_steps.append((i,))
-        uinv_t[i] = {k: -x for k, x in uinv_t[i].items()}
 
     # phase one: pivots that divide their row and column
     row_order: list[int] = []
@@ -604,9 +600,7 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
                 else:
                     del row[j]
                     cols[j].discard(i)
-            # row i += c * row p, so left_inverse's column p -= c * column i
             row_steps.append((i, p, c))
-            _axpy(uinv_t[p], uinv_t[i], -c)
         # column q is now zero off the pivot, so clearing row p by column
         # operations changes nothing else in the matrix
         changed = set(below)
@@ -617,7 +611,7 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
                 cols[j].discard(p)
                 changed.update(cols[j])
         if s < 0:
-            negate_row(p)
+            row_steps.append((p,))
         rows[p] = {q: abs(s)}
         active.remove(p)
         row_order.append(p)
@@ -649,7 +643,7 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
     k = min(len(rr), len(rc))
     for t in range(k):
         if a[t][t] < 0:
-            negate_row(rr[t])
+            row_steps.append((rr[t],))
     diag = [rows[p][q] for p, q in zip(row_order, col_order)]
     diag += [abs(a[t][t]) for t in range(k)]
     row_order += rr[:k]
@@ -673,11 +667,9 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
     order = units + chain
     row_order = [row_order[t] for t in order] + rr[k:]
     col_order = [col_order[t] for t in order] + rc[k:]
-    uinv_cols = [_dense(uinv_t[i], R) for i in row_order]
     return SmithForm(
         matrix=mat,
         diagonal=tuple(diag[t] for t in order),
-        left_inverse=IntMatrix._of(tuple(zip(*uinv_cols)) if uinv_cols else (), R),
         _row_record=(tuple(row_steps), tuple(row_order)),
         _col_record=(tuple(reversed(col_steps)), tuple(col_order)),
     )

@@ -4,9 +4,9 @@ Conventions.  The Laplacian has the non-loop degree on the diagonal and
 minus the edge multiplicity off it; loops contribute nothing anywhere, so
 firing a vertex never moves chips along a loop.  The critical group of a
 connected graph is the cokernel of the reduced Laplacian (the base row and
-column deleted), presented through its Smith normal form; the unimodular
-transform witnesses give explicit generator divisors, one per nontrivial
-invariant factor.
+column deleted), presented through its Smith normal form.  Its generator
+divisors, one per nontrivial invariant factor, are those columns of the
+left transform's inverse, undone from the form's recorded row steps.
 
 A divisor equivalence check rides on Dhar's burning algorithm: every class
 has a unique base-reduced representative, found by making the divisor
@@ -17,15 +17,15 @@ reads the cached Smith form only to pick a principal shift, taken exactly
 when some entry off the base lies outside the degree box
 ``[-deg(v), deg(v)]`` (``deg`` the non-loop degree), the box the shift is
 proven to land in.  The shift applies the form's recorded elimination
-steps to its one vector; the dense transforms are built only when read,
-and burning never reads them.  Any integer firing vector keeps the
-divisor class: a wrong Smith form could slow burning down but could not
-change its answer.  So the two routes can still be played against each
-other in tests.  Burning reads one cached table per (graph, base),
-holding neighbor lists, degrees and distances from the base, and moves
-chips by one firing step, ``_fire``, whether it shifts, fires balls or
-fires the unburnt set.  The Laplacian matrices are built apart from that
-table.
+steps to its one vector; the dense transforms and the inverse are built
+only when read, and neither burning nor the generators read them.  Any
+integer firing vector keeps the divisor class: a wrong Smith form could
+slow burning down but could not change its answer.  So the two routes
+can still be played against each other in tests.  Burning reads one
+cached table per (graph, base), holding neighbor lists, degrees and
+distances from the base, and moves chips by one firing step, ``_fire``,
+whether it shifts, fires balls or fires the unburnt set.  The Laplacian
+matrices are built apart from that table.
 
 The subdivision check at the bottom is the reason this module exists: on
 the r-subdivision of a graph, the r-torsion of the critical group has
@@ -345,9 +345,10 @@ def critical_group(graph: MultiGraph) -> CriticalGroup:
     """Critical group of a connected graph, with generator divisors.
 
     The Smith form of the reduced Laplacian at vertex 0 presents the
-    cokernel; the tracked left inverse turns each surviving diagonal
-    position into a concrete divisor (column of the inverse on vertices
-    1 .. n - 1, vertex 0's coefficient balancing to degree zero).
+    cokernel.  Each surviving diagonal position becomes a concrete
+    divisor: that column of the left transform's inverse, read from the
+    form's recorded row steps, on vertices 1 .. n - 1, with vertex 0's
+    coefficient balancing to degree zero.
     """
     if graph.vertex_count == 0:
         raise ValueError("critical group of the empty graph: it has no vertices")
@@ -359,15 +360,13 @@ def critical_group(graph: MultiGraph) -> CriticalGroup:
 def _critical_group(graph: MultiGraph) -> CriticalGroup:
     """``critical_group`` unchecked: ``graph`` connected and not empty."""
     snf = _reduced_smith(graph, 0)
-    factors: list[int] = []
-    gens: list[Divisor] = []
-    for i, dgn in enumerate(snf.diagonal):
-        if dgn <= 1:
-            continue
-        factors.append(dgn)
-        column = [row[i] for row in snf.left_inverse.entries]
-        gens.append(Divisor._of(graph, (-sum(column), *column)))
-    return CriticalGroup(invariant_factors=tuple(factors), generators=tuple(gens))
+    positions = [i for i, d in enumerate(snf.diagonal) if d > 1]
+    gens = tuple(
+        Divisor._of(graph, (-sum(column), *column))
+        for column in snf.left_inverse_columns(positions)
+    )
+    factors = tuple(snf.diagonal[i] for i in positions)
+    return CriticalGroup(invariant_factors=factors, generators=gens)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,13 @@ import sys
 
 import pytest
 
-from weilgraph import InputDocument, Report
+from weilgraph import (
+    Divisor,
+    InputDocument,
+    Report,
+    dhar_reduce,
+    verify_torsion_on_subdivision,
+)
 from weilgraph.cli import (
     MAX_EDGES,
     MAX_FORM_DIMENSION,
@@ -344,10 +350,11 @@ def test_verify_bad_r_factor(capsys):
     assert "invalid literal" not in err
 
 
-def test_tropical_empty_graph(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["tropical", "cover"])
+def test_tropical_empty_graph(command, tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text('{"vertices": 0, "edges": []}')
-    assert main(["tropical", "--graph", str(path)]) == 3
+    assert main([command, "--graph", str(path)]) == 3
     err = capsys.readouterr().err
     assert "empty graph" in err
     assert "base vertex" not in err
@@ -380,6 +387,28 @@ def test_tropical_subdivision_ceiling(theta_file, capsys):
     assert main(["tropical", "--graph", theta_file, "--r", str(top), "--json"]) == 0
     payload = Report.from_json(capsys.readouterr().out.strip()).payload
     assert payload["torsion_count"] == top**2 == payload["expected"]
+
+
+def test_tropical_generators_at_the_ceiling(tmp_path, capsys):
+    # 200 edges on 20 vertices at r = 2 meet the r x edges ceiling: genus
+    # 181, far past the sweeps, and each generator has order exactly r
+    rng = random.Random(61)
+    edges = [rng.sample(range(20), 2) for _ in range(200)]
+    assert 2 * len(edges) == MAX_SUBDIVIDED_EDGES
+    path = tmp_path / "ceiling.json"
+    path.write_text(json.dumps({"vertices": 20, "edges": edges}))
+    assert main(["tropical", "--graph", str(path), "--r", "2", "--json"]) == 0
+    payload = Report.from_json(capsys.readouterr().out.strip()).payload
+    genus = payload["graph_genus"]
+    assert genus == 181
+    assert payload["torsion_count"] == payload["expected"] == 2**genus
+    assert payload["generator_count"] == genus
+    rep = verify_torsion_on_subdivision(InputDocument.parse(path.read_text()).graph(), 2)
+    child = rep.subdivision
+    zero = Divisor.zero(child)
+    for gen in rng.sample(rep.generators, 5):
+        assert dhar_reduce(child, gen, 0) != zero
+        assert dhar_reduce(child, gen.scale(2), 0) == zero
 
 
 def test_torsion_form_dimension_ceiling(tmp_path, capsys):

@@ -352,8 +352,8 @@ def test_smith_random_property_sweep():
 
 
 def test_smith_applies_its_steps_to_vectors():
-    # left @ matrix @ right == diag, read on vectors through the recorded
-    # steps alone: no dense transform is built
+    # left @ matrix @ right == diag, and left_inverse's columns, read on
+    # vectors through the recorded steps alone: no dense transform is built
     rng = random.Random(29)
     for _ in range(300):
         r, c = rng.randint(0, 6), rng.randint(0, 6)
@@ -363,7 +363,18 @@ def test_smith_applies_its_steps_to_vectors():
         x = snf.right_times(y)
         image = snf.left_times([sum(a * b for a, b in zip(row, x)) for row in rows])
         assert image == [d * t for d, t in zip(snf.diagonal, y)] + [0] * (r - len(snf.diagonal))
-        assert "left" not in vars(snf) and "right" not in vars(snf)
+        # columns of left's inverse, undone from the row steps: left maps
+        # column k back to unit vector k
+        positions = rng.sample(range(r), rng.randint(0, r))
+        columns = snf.left_inverse_columns(positions)
+        assert snf.left_inverse_columns([]) == []
+        for k, column in zip(positions, columns):
+            assert snf.left_times(column) == [int(i == k) for i in range(r)]
+        assert not {"left", "right", "left_inverse"} & vars(snf).keys()
+        assert columns == [tuple(row[k] for row in snf.left_inverse.entries) for k in positions]
+        for outside in (-1, r):
+            with pytest.raises(IndexError):
+                snf.left_inverse_columns([outside])
         with pytest.raises(ValueError):
             snf.left_times([0] * (r + 1))
         with pytest.raises(ValueError):

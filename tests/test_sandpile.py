@@ -9,7 +9,6 @@ import pytest
 from weilgraph import (
     Divisor,
     InputDocument,
-    IntMatrix,
     MultiGraph,
     bouquet_graph,
     critical_group,
@@ -297,30 +296,16 @@ def test_burn_caches_miss_as_if_unbounded(monkeypatch):
 
 
 def test_generators_leave_left_and_right_unbuilt(monkeypatch):
-    # generators come from left_inverse alone, and the shift applies the
-    # recorded steps to its vector: left and right are built only when read
-    built = []
-    honest = linalg._from_columns
-
-    def spy(times, n):
-        built.append(n)
-        return honest(times, n)
-
-    monkeypatch.setattr(linalg, "_from_columns", spy)
-    sandpile._reduced_smith.cache_clear()
-    rep = verify_torsion_on_subdivision(theta_graph(), 3)
-    assert rep.verdict and rep.invariant_factors == (3, 9)
-    assert critical_group(K4).invariant_factors == (4, 4)
-    assert not built
-    for graph in (rep.subdivision, K4):
-        snf = sandpile._reduced_smith(graph, 0)
-        assert "left" not in vars(snf) and "right" not in vars(snf)
-        assert snf.verify()
-    assert built == [7, 7, 3, 3]
-
-    # a whole sweep shifts, and still no form builds either transform
-    forms, shifts = [], []
+    # generators undo the recorded row steps on their own columns, and the
+    # shift applies the steps to its vector: left, right and left_inverse
+    # are built only when read
+    built, forms, shifts = [], [], []
+    honest_columns = linalg._from_columns
     honest_form, honest_shift = sandpile.smith_normal_form, sandpile._principal_shift
+
+    def columns_spy(times, n):
+        built.append(n)
+        return honest_columns(times, n)
 
     def form_spy(mat):
         forms.append(honest_form(mat))
@@ -330,19 +315,38 @@ def test_generators_leave_left_and_right_unbuilt(monkeypatch):
         shifts.append(base)
         return honest_shift(graph, base, d)
 
+    def unbuilt():
+        dense = {"left", "right", "left_inverse"}
+        return [f for f in forms if dense & vars(f).keys()] == []
+
+    monkeypatch.setattr(linalg, "_from_columns", columns_spy)
     monkeypatch.setattr(sandpile, "smith_normal_form", form_spy)
     monkeypatch.setattr(sandpile, "_principal_shift", shift_spy)
+    sandpile._reduced_smith.cache_clear()
+    assert critical_group(K4).invariant_factors == (4, 4)
+    assert len(forms) == 1 and unbuilt()
+    rep = verify_torsion_on_subdivision(theta_graph(), 3)
+    assert rep.verdict and rep.invariant_factors == (3, 9)
+    assert len(forms) == 2 and unbuilt()
+    assert not built
+    for snf in forms:
+        assert snf.verify()
+        assert {"left", "right", "left_inverse"} <= vars(snf).keys()
+    assert built == [3, 3, 7, 7]
+
+    # a whole sweep shifts, and still no form builds a transform or the inverse
+    forms.clear()
     built.clear()
     sandpile._reduced_smith.cache_clear()
     assert torsion_sweep(3, rs=(2, 3)).ok
     assert shifts and forms
     assert not built
-    assert [f for f in forms if "left" in vars(f) or "right" in vars(f)] == []
+    assert unbuilt()
 
 
-def _noisy_shears(rng):
-    # a corruption: seeded noise on every recorded shear coefficient, so
-    # left and right stay unimodular but are no longer the form's
+def _noisy_shears(rng, records=("_row_record", "_col_record")):
+    # a corruption: seeded noise on every shear coefficient of the named
+    # records, so the transforms stay unimodular but are no longer the form's
     def noisy(record):
         steps, order = record
         steps = tuple(
@@ -351,9 +355,7 @@ def _noisy_shears(rng):
         return steps, order
 
     def corrupt(snf):
-        return dataclasses.replace(
-            snf, _row_record=noisy(snf._row_record), _col_record=noisy(snf._col_record)
-        )
+        return dataclasses.replace(snf, **{name: noisy(getattr(snf, name)) for name in records})
 
     return corrupt
 
@@ -438,21 +440,10 @@ def test_shift_fires_exactly_outside_the_degree_box(monkeypatch):
     assert shifted
 
 
-def _bump_first_row(mat):
-    # +1 on the first row
-    rows = [list(row) for row in mat.entries]
-    if rows:
-        rows[0] = [x + 1 for x in rows[0]]
-    return IntMatrix(rows, cols=mat.cols)
-
-
 def test_torsion_sweep_catches_wrong_generators(monkeypatch):
-    # generators come from the left inverse; burning must see that r times
-    # a wrong one is not principal, whatever shift it takes on the way
-    _hand_out(
-        monkeypatch,
-        lambda snf: dataclasses.replace(snf, left_inverse=_bump_first_row(snf.left_inverse)),
-    )
+    # generators are undone from the recorded row steps; burning must see
+    # that r times a wrong one is not principal, whatever shift it takes
+    _hand_out(monkeypatch, _noisy_shears(random.Random(37), records=("_row_record",)))
     res = torsion_sweep(4, rs=(2, 3, 4, 5))
     assert res.instances == 1080
     assert res.failure_count > 0
@@ -460,9 +451,10 @@ def test_torsion_sweep_catches_wrong_generators(monkeypatch):
 
 
 def test_torsion_sweep_ignores_a_wrong_shift(monkeypatch):
-    # the recorded steps feed only the shift: a wrong one lands outside the
-    # degree box, but no shift can change a verdict
-    _hand_out(monkeypatch, _noisy_shears(random.Random(43)))
+    # the column steps feed only the shift (the row steps feed the
+    # generators too): a wrong shift lands outside the degree box, but no
+    # shift can change a verdict
+    _hand_out(monkeypatch, _noisy_shears(random.Random(43), records=("_col_record",)))
     outside = []
     honest = sandpile._principal_shift
 
