@@ -43,8 +43,11 @@ _MODEL_SWEEP_CAP = 5
 
 # Input ceilings, checked before any work starts; larger values are usage
 # errors.  The enumerator yields about 5.7 times more graphs per extra
-# edge (15629 with 7 edges), so the sweeps past 8 edges would not finish.
-# A subdivision factor r on m edges gives a Smith form of size about r * m.
+# edge (15629 with 7 edges): verify at 7 edges, the largest size measured,
+# took 201.4 s on 2 cores, and 8 would take several times longer.  Each
+# factor of verify --r reruns the torsion sweep, so the factors are
+# distinct and few.  A subdivision factor r on m edges gives a Smith form
+# of size about r * m.
 # The Weil form of a model with graph genus h and vertex genera g_v has
 # dimension at most 2 h + 2 sum(g_v), and its report holds the whole Gram;
 # the homology report holds the genus x genus Gram under the same ceiling.
@@ -52,7 +55,8 @@ _MODEL_SWEEP_CAP = 5
 # state, so the vertex and edge counts are bounded before any graph is
 # built.  The edge ceiling rejects nothing the other ceilings let through:
 # genus and vertices of at most 1000 each allow at most 1999 edges.
-MAX_VERIFY_EDGES = 8
+MAX_VERIFY_EDGES = 7
+MAX_VERIFY_FACTORS = 4
 MAX_SUBDIVIDED_EDGES = 400
 MAX_FORM_DIMENSION = 1000
 MAX_VERTICES = 1000
@@ -299,8 +303,13 @@ def cmd_verify(args) -> int:
             f"--max-edges: {args.max_edges} is not between 0 and {MAX_VERIFY_EDGES}"
         )
     rs = tuple(_parse_ints(args.r, "--r", "an integer subdivision factor"))
+    if len(rs) > MAX_VERIFY_FACTORS:
+        raise DocumentError(f"--r: {len(rs)} factors is over {MAX_VERIFY_FACTORS}")
     for r in rs:
         _check_subdivision(r, args.max_edges)
+    if len(set(rs)) < len(rs):
+        repeated = next(r for r in rs if rs.count(r) > 1)
+        raise DocumentError(f"--r: factor {repeated} is repeated")
     params = {
         "max_edges": args.max_edges,
         "rs": list(rs),
@@ -413,13 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-edges",
         type=int,
         default=4,
-        help=f"largest edge count to enumerate (default 4, at most {MAX_VERIFY_EDGES})",
+        help=f"largest edge count to enumerate (default 4, at most {MAX_VERIFY_EDGES},"
+        " which took about 200 s on 2 cores)",
     )
     p.add_argument(
         "--r",
         default="2,3",
         metavar="LIST",
-        help="subdivision factors for the torsion sweep (default 2,3)",
+        help="distinct subdivision factors for the torsion sweep (default 2,3),"
+        f" at most {MAX_VERIFY_FACTORS} of them; r x max-edges at most {MAX_SUBDIVIDED_EDGES}",
     )
     p.add_argument(
         "--inject-fault",

@@ -10,21 +10,19 @@ fixed-width integers quickly.  The Smith form records its elimination
 steps and nothing more.  The principal shift of burning needs the two
 transforms only on one vector, so the form applies the steps to that
 vector; a critical group needs a few columns of the left transform's
-inverse, so the form undoes the row steps on those unit vectors.  The
-dense transforms and the inverse are built from the same steps only when
-read.  Its elimination pivots on any entry that divides its whole row and
-column, units first; the pivots it settles need not divide one another,
-and gcd steps on pairs of diagonal entries restore the chain at the end
-(see ``smith_normal_form``).
+inverse, so the form undoes the row steps on those unit vectors.  No
+dense transform is ever built.  Its elimination pivots on any entry that
+divides its whole row and column, units first; the pivots it settles need
+not divide one another, and gcd steps on pairs of diagonal entries
+restore the chain at the end (see ``smith_normal_form``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd
-from operator import index, mul
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -239,23 +237,6 @@ class IntMatrix:
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols})"
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose().entries
-        out = tuple(tuple(sum(map(mul, row, col)) for col in ot) for row in self.entries)
-        return IntMatrix._of(out, other.cols)
-
-    def transpose(self) -> "IntMatrix":
-        if self.entries:
-            return IntMatrix._of(tuple(zip(*self.entries)), self.rows)
-        return IntMatrix._of(((),) * self._cols, 0)
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            x == int(i == j) for i, row in enumerate(self.entries) for j, x in enumerate(row)
-        )
-
     def det(self) -> int:
         """Exact determinant, Bareiss fraction-free elimination."""
         if self.rows != self.cols:
@@ -285,11 +266,9 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """Smith normal form ``left @ matrix @ right == diag(diagonal)``.
-
-    ``left`` and ``right`` are unimodular; ``left_inverse`` is the exact
-    inverse of ``left``.  Diagonal entries are non-negative, each divides
-    the next, zeros trail.
+    """Smith normal form ``left @ matrix @ right == diag(diagonal)``, for
+    unimodular ``left`` and ``right`` that are never built.  Diagonal
+    entries are non-negative, each divides the next, zeros trail.
 
     The form keeps the elimination's steps as ``(steps, order)`` records
     private to this module, and nothing else.  ``left_times`` and
@@ -301,8 +280,7 @@ class SmithForm:
     x*u[i] + y*u[j], z*u[i] + w*u[j]`` with ``x*w - y*z == 1``, and
     ``(i,)`` as ``u[i] = -u[i]``.  Row steps are kept in the order taken,
     column steps transposed and last first, since ``right`` is their
-    product from the right.  ``left``, ``right`` and ``left_inverse`` are
-    built from the records only when read.
+    product from the right.
     """
 
     matrix: IntMatrix
@@ -331,7 +309,7 @@ class SmithForm:
         return u
 
     def left_inverse_columns(self, positions: Sequence[int]) -> list[tuple[int, ...]]:
-        """Columns ``positions`` of ``left_inverse``, in the order given.
+        """Columns ``positions`` of the inverse of ``left``, in the order given.
 
         One pass undoes the row steps, last first, on a block holding all
         the requested unit vectors: row ``i`` of the block is entry ``i``
@@ -366,44 +344,6 @@ class SmithForm:
                 block[i] = [a - c * b for a, b in zip(block[i], src)]
         return list(zip(*block))
 
-    @cached_property
-    def left(self) -> IntMatrix:
-        return _from_columns(self.left_times, self.matrix.rows)
-
-    @cached_property
-    def right(self) -> IntMatrix:
-        return _from_columns(self.right_times, self.matrix.cols)
-
-    @cached_property
-    def left_inverse(self) -> IntMatrix:
-        n = self.matrix.rows
-        return IntMatrix._of(tuple(zip(*self.left_inverse_columns(range(n)))), n)
-
-    def diagonal_matrix(self) -> IntMatrix:
-        r, c = self.matrix.rows, self.matrix.cols
-        d = self.diagonal
-        return IntMatrix._of(
-            tuple(tuple(d[i] if i == j < len(d) else 0 for j in range(c)) for i in range(r)),
-            c,
-        )
-
-    def verify(self) -> bool:
-        if (self.left @ self.matrix @ self.right) != self.diagonal_matrix():
-            return False
-        if not (self.left @ self.left_inverse).is_identity():
-            return False
-        if abs(self.left.det()) != 1 or abs(self.right.det()) != 1:
-            return False
-        d = self.diagonal
-        if any(x < 0 for x in d):
-            return False
-        for a, b in zip(d, d[1:]):
-            if a == 0 and b != 0:
-                return False
-            if a != 0 and b % a != 0:
-                return False
-        return True
-
 
 def _apply(steps: Iterable[tuple[int, ...]], u: list[int]) -> None:
     """Apply recorded steps to the vector ``u`` in place (see ``SmithForm``)."""
@@ -417,12 +357,6 @@ def _apply(steps: Iterable[tuple[int, ...]], u: list[int]) -> None:
         else:
             i, j, x, y, z, w = step
             u[i], u[j] = x * u[i] + y * u[j], z * u[i] + w * u[j]
-
-
-def _from_columns(times, n: int) -> IntMatrix:
-    """The ``n x n`` matrix whose column ``k`` is ``times`` of unit vector ``k``."""
-    cols = [times([int(i == k) for i in range(n)]) for k in range(n)]
-    return IntMatrix._of(tuple(zip(*cols)), n)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -550,11 +484,10 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
     second phase's diagonal together, makes each entry divide the next,
     zeros last.  Units divide everything and stay in front.
 
-    The steps are only recorded: ``left_times``, ``right_times`` and
-    ``left_inverse_columns`` read them, and ``left``, ``right`` and
-    ``left_inverse`` are built from them only when read (see
-    ``SmithForm``).  Row and column swaps only reorder the final
-    positions.  Output is deterministic for a given input.
+    The steps are only recorded, and only ``left_times``, ``right_times``
+    and ``left_inverse_columns`` read them (see ``SmithForm``).  Row and
+    column swaps only reorder the final positions.  Output is
+    deterministic for a given input.
     """
     R, C = mat.rows, mat.cols
     rows = [{j: x for j, x in enumerate(row) if x} for row in mat.entries]

