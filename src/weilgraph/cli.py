@@ -348,8 +348,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if payload["ok"] else EXIT_COUNTEREXAMPLE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, its subcommands' included,
+    raise ``DocumentError`` for ``main`` to report with exit 2, where
+    argparse would print a usage block and exit.  ``--help`` still exits."""
+
+    def error(self, message):
+        raise DocumentError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weilgraph",
         description="Pairings, double covers and chip-firing on dual graphs.",
     )
@@ -444,9 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DocumentError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -18,6 +18,7 @@ sheet a) and ``2e + 1`` (its deck translate).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection, Sequence
 
 from .graphs import MultiGraph
 from .homology import Chain1, Cochain1, is_simple_cycle
@@ -102,13 +103,15 @@ def lift_cycle(cover: DoubleCover, alpha: Chain1) -> tuple[int, tuple[frozenset,
         raise ValueError("cycle lives on a different graph")
     if not is_simple_cycle(alpha):
         raise ValueError("lift needs a single simple cycle")
-    return _lift_cycle(cover, alpha.edges)
+    count, components = _lift_cycle(cover, alpha.edges)
+    return count, tuple(map(frozenset, components))
 
 
-def _lift_cycle(cover: DoubleCover, edges: frozenset) -> tuple[int, tuple[frozenset, ...]]:
-    """``lift_cycle`` without its checks: ``edges`` must be the support of a
-    simple cycle of the base."""
-    components = cover.total.edge_components(k for e in edges for k in (2 * e, 2 * e + 1))
+def _lift_cycle(cover: DoubleCover, edges: frozenset) -> tuple[int, list[list[int]]]:
+    """``lift_cycle`` without its checks, each component an edge list:
+    ``edges`` must be the support of a simple cycle of the base, so the
+    total graph's unchecked walk can take their lifts as they are."""
+    components, _ = cover.total._edge_components([k for e in edges for k in (2 * e, 2 * e + 1)])
     return len(components), components
 
 
@@ -123,8 +126,9 @@ def pairing_via_cover(base: MultiGraph, gamma: Cochain1, alpha: Chain1) -> int:
     return 1 if count == 1 else 0
 
 
-def lift_shape_ok(lift: tuple[int, tuple[frozenset, ...]], length: int) -> bool:
-    """Whether ``lift_cycle``'s result for an l-cycle is one 2l-cycle or two l-cycles."""
+def lift_shape_ok(lift: tuple[int, Sequence[Collection[int]]], length: int) -> bool:
+    """Whether a lift of an l-cycle, from ``lift_cycle`` or ``_lift_cycle``,
+    is one 2l-cycle or two l-cycles."""
     count, components = lift
     sizes = [len(c) for c in components]
     return (count, sizes) in ((1, [2 * length]), (2, [length, length]))

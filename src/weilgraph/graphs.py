@@ -10,12 +10,15 @@ order is part of the value.
 Nothing here is oriented.  The homology this feeds lives over GF(2), where an
 edge is just the multiset of its endpoints.
 
-One edge walk, ``edge_components``, answers every connectivity question, from
-the genus to the sheets of a cycle's lift.  The component count adds the
-vertices no edge touches and never reads ``spanning_forest``: the model sweep
-checks a torsion order whose exponent is the genus against a form dimension
-that counts fundamental cycles, and a count read off the forest would pass
-that check by construction.
+One edge walk, ``MultiGraph._edge_components``, answers every connectivity
+question, from the genus to the sheets of a cycle's lift.  It trusts its
+edge indices, so it serves the inner loops directly (a cycle's lift, the
+simple-cycle test); the public ``edge_components`` checks them first.  The
+component count adds the vertices no edge touches to the walk's component
+count and never reads ``spanning_forest``: the model sweep checks a torsion
+order whose exponent is the genus against a form dimension that counts
+fundamental cycles, and a count read off the forest would pass that check by
+construction.
 """
 
 from __future__ import annotations
@@ -95,37 +98,75 @@ class MultiGraph:
 
     # -- connectivity and genus --------------------------------------------
 
+    def _edge_components(self, edges: Iterable[int]) -> tuple[list[list[int]], int]:
+        """The one component walk, unchecked: ``edges`` must be distinct edge
+        indices, as the inner loops hold them.  Returns the edge list of each
+        component of the subgraph they make, ordered by smallest member, and
+        the number of vertices they touch.
+
+        Edges are read in ascending order.  Each touched vertex carries, in a
+        list indexed by vertex, the label of its component: a record
+        ``[smallest edge, vertices, edges]``.  An edge between two labels
+        relabels the vertices of the smaller side (Hopcroft and Ullman, SIAM
+        J. Comput. 2, 1973), so no vertex is relabelled more than log2 of the
+        touched count times.
+        """
+        ends = self.edges
+        label: list = [None] * self.vertex_count
+        records = []
+        for e in sorted(edges):
+            u, v = ends[e]
+            a, b = label[u], label[v]
+            if a is b:
+                if a is None:
+                    a = [e, [u] if u == v else [u, v], [e]]
+                    records.append(a)
+                    label[u] = label[v] = a
+                else:
+                    a[2].append(e)
+            elif a is None:
+                b[1].append(u)
+                b[2].append(e)
+                label[u] = b
+            elif b is None:
+                a[1].append(v)
+                a[2].append(e)
+                label[v] = a
+            else:
+                if len(a[1]) < len(b[1]):
+                    a, b = b, a
+                for x in b[1]:
+                    label[x] = a
+                a[0] = min(a[0], b[0])
+                a[1] += b[1]
+                a[2] += b[2]
+                a[2].append(e)
+                b[1] = None
+        live = [r for r in records if r[1] is not None]
+        live.sort()  # by smallest edge: a merge may keep the younger record
+        return [r[2] for r in live], self.vertex_count - label.count(None)
+
     def edge_components(self, edges: Iterable[int]) -> tuple[frozenset[int], ...]:
         """Components of the subgraph made of ``edges``, each given as its
-        set of edge indices, ordered by smallest member: a depth-first search
-        from each edge in order that takes a vertex's incidence list out of
-        ``at`` on reaching it, so no vertex is walked twice."""
-        ends = self.edges
-        seeds = sorted(set(edges))
-        at: dict[int, list[int]] = {}
-        for e in seeds:
-            u, v = ends[e]
-            at.setdefault(u, []).append(e)
-            if v != u:
-                at.setdefault(v, []).append(e)
-        components = []
-        for e in seeds:
-            stack, comp = [ends[e][0]], []
-            while stack:
-                x = stack.pop()
-                for f in at.pop(x, ()):
-                    comp.append(f)
-                    u, v = ends[f]
-                    stack.append(v if u == x else u)
-            if comp:
-                components.append(frozenset(comp))
-        return tuple(components)
+        set of edge indices, ordered by smallest member.
+
+        The checked entry to ``_edge_components``: each index must name an
+        edge, and a repeated one counts once.
+        """
+        components, _ = self._edge_components(self._edge_subset(edges))
+        return tuple(map(frozenset, components))
 
     @cached_property
     def component_count(self) -> int:
-        """Components of the edges, plus one for each vertex no edge touches."""
-        untouched = self.vertex_count - len(set().union(*self.edges))
-        return len(self.edge_components(range(self.edge_count))) + untouched
+        """Components of the edges, plus one for each vertex no edge touches.
+
+        Both numbers come from one unchecked ``_edge_components`` walk of
+        every edge, and no sets are built.  The count never reads
+        ``spanning_forest``, so the genus stays independent of the
+        fundamental cycles that the model sweep checks it against.
+        """
+        components, touched = self._edge_components(range(self.edge_count))
+        return len(components) + self.vertex_count - touched
 
     def is_connected(self) -> bool:
         return self.component_count <= 1

@@ -231,4 +231,5 @@ def is_simple_cycle(alpha: Chain1) -> bool:
         degree[v] = degree.get(v, 0) + 1
     if any(d != 2 for d in degree.values()):
         return False
-    return len(graph.edge_components(support)) == 1
+    components, _ = graph._edge_components(support)
+    return len(components) == 1

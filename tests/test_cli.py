@@ -326,10 +326,14 @@ def test_tropical_bad_r(theta_file, capsys):
     assert "--r" in capsys.readouterr().err
 
 
-def test_missing_subcommand():
+def test_missing_subcommand(capsys):
+    # argparse's usage errors return the usage exit with one error line
+    assert main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+        main(["verify", "--help"])
+    assert exc.value.code == 0
 
 
 def test_stdin_subprocess():

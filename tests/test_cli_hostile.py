@@ -96,30 +96,36 @@ def hostile_documents(draw):
 
 @st.composite
 def hostile_argv(draw):
-    """A command line argparse accepts, with hostile values; every option
-    is written ``--name=value``, so a value may start with a minus."""
+    """A command line with hostile values.  Its options are all written
+    ``--name=value`` or all ``--name value``; in the second form a value
+    that starts with a minus and is not a number is a usage error."""
+    spaced = draw(st.booleans())
+
+    def option(name, value):
+        return [name, str(value)] if spaced else [f"{name}={value}"]
+
     command = draw(st.sampled_from(("homology", "cover", "torsion", "tropical", "verify")))
     argv = [command]
     if command == "verify":
         edges = draw(st.sampled_from((-HUGE, -1, 0, 1, 2, MAX_VERIFY_EDGES + 1, HUGE)))
-        argv.append(f"--max-edges={edges}")
+        argv += option("--max-edges", edges)
         if draw(st.booleans()):
             # r x max-edges at its ceiling and one past, at 1 and 2 edges
             factors = _hostile_ints(MAX_SUBDIVIDED_EDGES, MAX_SUBDIVIDED_EDGES // 2)
-            argv.append(f"--r={draw(_comma_list(factors))}")
+            argv += option("--r", draw(_comma_list(factors)))
         if draw(st.booleans()):
             argv.append("--inject-fault")
     else:
-        argv.append("--graph=-")
+        argv += option("--graph", "-")
     if command == "cover":
-        argv.append(f"--gamma={draw(EDGE_LISTS)}")
+        argv += option("--gamma", draw(EDGE_LISTS))
         if draw(st.booleans()):
-            argv.append(f"--alpha={draw(EDGE_LISTS)}")
+            argv += option("--alpha", draw(EDGE_LISTS))
         if draw(st.booleans()):
-            argv.append("--dot=-")
+            argv += option("--dot", "-")
     if command == "tropical":
-        argv.append(f"--r={draw(_hostile_ints(MAX_SUBDIVIDED_EDGES // len(THETA_EDGES)))}")
-        argv.append(f"--mode={draw(st.sampled_from(('all', 'nonsep')))}")
+        argv += option("--r", draw(_hostile_ints(MAX_SUBDIVIDED_EDGES // len(THETA_EDGES))))
+        argv += option("--mode", draw(st.sampled_from(("all", "nonsep"))))
     if draw(st.booleans()):
         argv.append("--json")
     return argv

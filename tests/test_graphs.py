@@ -46,8 +46,14 @@ def test_validation():
 
 @pytest.mark.parametrize(
     "build",
-    [Chain1, Cochain1, MultiGraph.delete_edges, lambda g, es: g.subdivide(2, which=es)],
-    ids=["Chain1", "Cochain1", "delete_edges", "subdivide"],
+    [
+        Chain1,
+        Cochain1,
+        MultiGraph.delete_edges,
+        lambda g, es: g.subdivide(2, which=es),
+        MultiGraph.edge_components,
+    ],
+    ids=["Chain1", "Cochain1", "delete_edges", "subdivide", "edge_components"],
 )
 @pytest.mark.parametrize("bad", [-1, theta_graph().edge_count])
 def test_edge_subsets_are_range_checked(build, bad):
@@ -107,6 +113,17 @@ def test_components_and_genus():
     isolated = MultiGraph(3, ((0, 1),))
     assert isolated.component_count == 2
     assert isolated.genus() == 0
+
+    # edge 2 starts a component after the loop's, then edge 4 merges it
+    # with edge 0's smaller one: the kept record is younger than the loop's,
+    # yet the output stays ordered by smallest member.  Vertex 6 is untouched.
+    merged = MultiGraph(7, ((0, 1), (4, 4), (2, 3), (3, 5), (1, 2)))
+    assert merged.edge_components([4, 3, 2, 1, 0, 4]) == (
+        frozenset({0, 2, 3, 4}),
+        frozenset({1}),
+    )
+    assert merged.component_count == 3
+    assert merged.genus() == 1
 
 
 def test_spanning_forest_greedy_lowest_index():

@@ -145,7 +145,8 @@ def test_routes_stay_independent():
         if isinstance(node, ast.FunctionDef)
     }
     forest_names = {"spanning_forest", "fundamental_cycles", "find", "parent"}
-    for name in ("genus", "component_count", "is_connected", "edge_components"):
+    walks = ("genus", "component_count", "is_connected", "edge_components", "_edge_components")
+    for name in walks:
         assert _names(graph_defs[name]) & forest_names == set(), name
 
     # the solvers of the tests' oracle module, which acceptance test 6 and
