@@ -25,32 +25,32 @@ def main() -> None:
     print()
 
     # gamma = 0 everywhere: the cover is two disjoint copies of the base
-    trivial = build_double_cover(graph, Cochain1(graph, frozenset()))
+    trivial = build_double_cover(Cochain1(graph, frozenset()))
     print("trivial cover connected:", trivial.is_connected())
 
     # gamma supported on edge 1: crossing that edge switches sheets
     gamma = Cochain1(graph, frozenset({1}))
-    cover = build_double_cover(graph, gamma)
+    cover = build_double_cover(gamma)
     print("twisted cover connected:", cover.is_connected())
     print("total graph edges:", cover.total.edges)
     print()
 
     # cycle {0,1} hits gamma once: upstairs it stays one long cycle
     alpha = Chain1(graph, frozenset({0, 1}))
-    count, components = lift_cycle(cover, alpha)
-    print(f"lift of cycle {sorted(alpha.edges)}: {count} component(s),",
+    components = lift_cycle(cover, alpha)
+    print(f"lift of cycle {sorted(alpha.edges)}: {len(components)} component(s),",
           [sorted(c) for c in components])
 
     # cycle {0,2} misses gamma: upstairs it splits into two copies
     beta = Chain1(graph, frozenset({0, 2}))
-    count, components = lift_cycle(cover, beta)
-    print(f"lift of cycle {sorted(beta.edges)}: {count} component(s),",
+    components = lift_cycle(cover, beta)
+    print(f"lift of cycle {sorted(beta.edges)}: {len(components)} component(s),",
           [sorted(c) for c in components])
     print()
 
     # the shape of the lift recovers the pairing: one component means 1
     for cycle in (alpha, beta):
-        via_cover = pairing_via_cover(graph, gamma, cycle)
+        via_cover = pairing_via_cover(gamma, cycle)
         via_algebra = graph_pairing(gamma, cycle)
         print(
             f"cycle {sorted(cycle.edges)}: pairing via cover {via_cover},"

@@ -29,7 +29,7 @@ def main() -> None:
 
     # reduction finds the canonical representative of a chip class
     d = Divisor(graph, (5, -5))
-    reduced = dhar_reduce(graph, d, base=0)
+    reduced = dhar_reduce(graph, d)
     print("divisor (5, -5) reduces to:", reduced.coefficients)
     print("equivalent to zero:", divisors_equivalent(graph, d, Divisor.zero(graph)))
     gen = group.generators[0]

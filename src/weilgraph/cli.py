@@ -17,6 +17,7 @@ verification check found a counterexample.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .cover import build_double_cover, cover_to_dot, lift_cycle
@@ -150,7 +151,7 @@ def cmd_cover(args) -> int:
     doc = _read_document(args.graph)
     graph = doc.graph()
     gamma = Cochain1._of(graph, _parse_edge_list(args.gamma, graph, "--gamma"))
-    cover = build_double_cover(graph, gamma)
+    cover = build_double_cover(gamma)
 
     payload = {
         "gamma": sorted(gamma.edges),
@@ -168,14 +169,14 @@ def cmd_cover(args) -> int:
     exit_code = EXIT_OK
     if args.alpha is not None:
         alpha = Chain1._of(graph, _parse_edge_list(args.alpha, graph, "--alpha"))
-        count, components = lift_cycle(cover, alpha)
-        bit_cover = 1 if count == 1 else 0
+        components = lift_cycle(cover, alpha)
+        bit_cover = 1 if len(components) == 1 else 0
         bit_algebraic = graph_pairing(gamma, alpha)
         agree = bit_cover == bit_algebraic
         payload.update(
             {
                 "alpha": sorted(alpha.edges),
-                "lift_count": count,
+                "lift_count": len(components),
                 "lift_sizes": [len(c) for c in components],
                 "pairing_cover": bit_cover,
                 "pairing_algebraic": bit_algebraic,
@@ -184,7 +185,7 @@ def cmd_cover(args) -> int:
         )
         shape = (
             f"one cycle of length {len(components[0])}"
-            if count == 1
+            if bit_cover
             else " and ".join(f"a cycle of length {len(c)}" for c in components)
         )
         lines += [
@@ -351,7 +352,13 @@ def cmd_verify(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors, its subcommands' included,
     raise ``DocumentError`` for ``main`` to report with exit 2, where
-    argparse would print a usage block and exit.  ``--help`` still exits."""
+    argparse would print a usage block and exit.  ``--help`` still exits.
+    A word that starts with a minus and a digit is a value, so ``--gamma
+    -1,2`` reads as ``--gamma=-1,2`` does (argparse's private matcher)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
 
     def error(self, message):
         raise DocumentError(f"{self.prog}: {message}")

@@ -7,7 +7,9 @@ a simple cycle of length l is either one cycle of length 2l or two disjoint
 cycles of length l, according to whether the pairing of gamma with the
 cycle is one or zero.  Both routes to that bit, the combinatorial lift and
 the algebraic pairing, are exposed here so they can be checked against each
-other wholesale.
+other wholesale.  A cover is built from gamma alone and covers the graph
+gamma lives on; a lift is the tuple of its components, so their number is
+the pairing's answer.
 
 Numbering is fixed so tests can freeze values: sheet a is vertices
 ``0 .. n-1`` of the total graph, sheet b is ``n .. 2n-1``, and base edge
@@ -34,11 +36,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DoubleCover:
-    """A double cover with its base, total graph and classifying cochain."""
+    """A double cover: its classifying cochain and its total graph.  The
+    base graph is the one the cochain lives on."""
 
-    base: MultiGraph
     classifying: Cochain1
     total: MultiGraph
+
+    @property
+    def base(self) -> MultiGraph:
+        return self.classifying.graph
 
     def project_vertex(self, w: int) -> int:
         return w % self.base.vertex_count
@@ -69,15 +75,14 @@ class DoubleCover:
         return self.total.is_connected()
 
 
-def build_double_cover(base: MultiGraph, gamma: Cochain1) -> DoubleCover:
-    """Assemble the double cover classified by ``gamma``.
+def build_double_cover(gamma: Cochain1) -> DoubleCover:
+    """Assemble the double cover of ``gamma.graph`` classified by ``gamma``.
 
     Sheet-crossing edges are exactly the support of ``gamma``.  A loop with
     gamma one lifts to the two parallel edges joining its endpoint's sheet
     copies, so the deck involution stays free on edges.
     """
-    if gamma.graph != base:
-        raise ValueError("classifying cochain lives on a different graph")
+    base = gamma.graph
     n = base.vertex_count
     lifted: list[tuple[int, int]] = []
     for e, (u, v) in enumerate(base.edges):
@@ -88,50 +93,44 @@ def build_double_cover(base: MultiGraph, gamma: Cochain1) -> DoubleCover:
             lifted.append((u, v))
             lifted.append((u + n, v + n))
     total = MultiGraph._of(2 * n, tuple(lifted))
-    return DoubleCover(base=base, classifying=gamma, total=total)
+    return DoubleCover(classifying=gamma, total=total)
 
 
-def lift_cycle(cover: DoubleCover, alpha: Chain1) -> tuple[int, tuple[frozenset, ...]]:
+def lift_cycle(cover: DoubleCover, alpha: Chain1) -> tuple[frozenset, ...]:
     """Connected components of the preimage of a simple cycle.
 
-    Returns ``(count, components)`` with each component given as a
-    frozenset of total-graph edge indices, ordered by smallest member.
-    The count is always one or two: one cycle of twice the length, or two
-    disjoint copies.
+    Each component is a frozenset of total-graph edge indices, ordered by
+    smallest member.  There are always one or two: one cycle of twice the
+    length, or two disjoint copies.
     """
     if alpha.graph != cover.base:
         raise ValueError("cycle lives on a different graph")
     if not is_simple_cycle(alpha):
         raise ValueError("lift needs a single simple cycle")
-    count, components = _lift_cycle(cover, alpha.edges)
-    return count, tuple(map(frozenset, components))
+    return tuple(map(frozenset, _lift_cycle(cover, alpha.edges)))
 
 
-def _lift_cycle(cover: DoubleCover, edges: frozenset) -> tuple[int, list[list[int]]]:
+def _lift_cycle(cover: DoubleCover, edges: frozenset) -> list[list[int]]:
     """``lift_cycle`` without its checks, each component an edge list:
     ``edges`` must be the support of a simple cycle of the base, so the
     total graph's unchecked walk can take their lifts as they are."""
     components, _ = cover.total._edge_components([k for e in edges for k in (2 * e, 2 * e + 1)])
-    return len(components), components
+    return components
 
 
-def pairing_via_cover(base: MultiGraph, gamma: Cochain1, alpha: Chain1) -> int:
+def pairing_via_cover(gamma: Cochain1, alpha: Chain1) -> int:
     """The pairing bit read off the cover: one when the lift is connected.
 
     This is the independent route to ``graph_pairing(gamma, alpha)``: it
     never sums supports, it builds the cover and counts components.
     """
-    cover = build_double_cover(base, gamma)
-    count, _ = lift_cycle(cover, alpha)
-    return 1 if count == 1 else 0
+    return 1 if len(lift_cycle(build_double_cover(gamma), alpha)) == 1 else 0
 
 
-def lift_shape_ok(lift: tuple[int, Sequence[Collection[int]]], length: int) -> bool:
-    """Whether a lift of an l-cycle, from ``lift_cycle`` or ``_lift_cycle``,
-    is one 2l-cycle or two l-cycles."""
-    count, components = lift
-    sizes = [len(c) for c in components]
-    return (count, sizes) in ((1, [2 * length]), (2, [length, length]))
+def lift_shape_ok(components: Sequence[Collection[int]], length: int) -> bool:
+    """Whether the components of a lift of an l-cycle, from ``lift_cycle``
+    or ``_lift_cycle``, are one 2l-cycle or two l-cycles."""
+    return [len(c) for c in components] in ([2 * length], [length, length])
 
 
 def cover_to_dot(cover: DoubleCover) -> str:

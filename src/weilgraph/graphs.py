@@ -92,10 +92,6 @@ class MultiGraph:
                 raise ValueError(f"edge index {e} out of range")
         return subset
 
-    def degree(self, v: int) -> int:
-        """Number of edge endpoints at ``v``.  A loop counts twice."""
-        return sum((u == v) + (w == v) for u, w in self.edges)
-
     # -- connectivity and genus --------------------------------------------
 
     def _edge_components(self, edges: Iterable[int]) -> tuple[list[list[int]], int]:

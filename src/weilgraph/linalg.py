@@ -278,7 +278,8 @@ class SmithForm:
     group's generators need.  A step acts on a vector ``u``: ``(i, j, c)``
     as ``u[i] += c * u[j]``, ``(i, j, x, y, z, w)`` as ``u[i], u[j] =
     x*u[i] + y*u[j], z*u[i] + w*u[j]`` with ``x*w - y*z == 1``, and
-    ``(i,)`` as ``u[i] = -u[i]``.  Row steps are kept in the order taken,
+    ``(i,)`` as ``u[i] = -u[i]``.  A shear is always recorded as ``(i, j,
+    c)``, never as a 2 x 2 step.  Row steps are kept in the order taken,
     column steps transposed and last first, since ``right`` is their
     product from the right.
     """
@@ -314,8 +315,8 @@ class SmithForm:
         One pass undoes the row steps, last first, on a block holding all
         the requested unit vectors: row ``i`` of the block is entry ``i``
         of each column.  Every step has determinant one, so ``(i, j, c)``
-        is undone as ``u[i] -= c * u[j]`` and ``(i, j, x, y, z, w)`` by
-        ``(w, -y; -z, x)``; a shear whose source row is zero is skipped.
+        is undone as ``u[i] -= c * u[j]``, skipped when row ``j`` is zero,
+        and ``(i, j, x, y, z, w)`` by ``(w, -y; -z, x)``.
         """
         steps, order = self._row_record
         rows, k = self.matrix.rows, len(positions)
@@ -331,17 +332,14 @@ class SmithForm:
                 continue
             if len(step) == 3:
                 i, j, c = step
+                src = block[j]
+                if any(src):
+                    block[i] = [a - c * b for a, b in zip(block[i], src)]
             else:
                 i, j, x, y, z, w = step
-                if (x, z, w) != (1, 0, 1):
-                    bi, bj = block[i], block[j]
-                    block[i] = [w * a - y * b for a, b in zip(bi, bj)]
-                    block[j] = [x * b - z * a for a, b in zip(bi, bj)]
-                    continue
-                c = y  # a shear written as a 2 x 2 step
-            src = block[j]
-            if any(src):
-                block[i] = [a - c * b for a, b in zip(block[i], src)]
+                bi, bj = block[i], block[j]
+                block[i] = [w * a - y * b for a, b in zip(bi, bj)]
+                block[j] = [x * b - z * a for a, b in zip(bi, bj)]
         return list(zip(*block))
 
 
@@ -499,12 +497,12 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
     col_steps: list[tuple[int, ...]] = []
 
     def row_track(i, j, x, y, z, w):
-        # rows i, j of the matrix combine as given
-        row_steps.append((i, j, x, y, z, w))
+        # rows i, j of the matrix combine as given; a shear as a shear
+        row_steps.append((i, j, y) if (x, z, w) == (1, 0, 1) else (i, j, x, y, z, w))
 
     def col_track(i, j, x, y, z, w):
-        # columns i, j combine as given; right_times applies the transpose
-        col_steps.append((i, j, x, z, y, w))
+        # columns i, j combine as given, recorded transposed: a shear as (j, i, y)
+        col_steps.append((j, i, y) if (x, z, w) == (1, 0, 1) else (i, j, x, z, y, w))
 
     # phase one: pivots that divide their row and column
     row_order: list[int] = []

@@ -3,28 +3,28 @@
 Conventions.  The Laplacian has the non-loop degree on the diagonal and
 minus the edge multiplicity off it; loops contribute nothing anywhere, so
 firing a vertex never moves chips along a loop.  The critical group of a
-connected graph is the cokernel of the reduced Laplacian (the base row and
-column deleted), presented through its Smith normal form.  Its generator
+connected graph is the cokernel of the reduced Laplacian (vertex 0's row
+and column deleted), presented through its Smith normal form.  Its generator
 divisors, one per nontrivial invariant factor, are those columns of the
 left transform's inverse, undone from the form's recorded row steps.
 
 A divisor equivalence check rides on Dhar's burning algorithm: every class
-has a unique base-reduced representative, found by making the divisor
-effective away from the base and then repeatedly firing what the fire from
-the base fails to burn.  Two divisors are equivalent exactly when their
-difference reduces to zero, so an equivalence check burns once.  Burning
-reads the cached Smith form only to pick a principal shift, taken exactly
-when some entry off the base lies outside the degree box
+has a unique representative reduced at vertex 0, found by making the
+divisor effective away from vertex 0 and then repeatedly firing what the
+fire from vertex 0 fails to burn.  Two divisors are equivalent exactly
+when their difference reduces to zero, so an equivalence check burns once.
+Burning reads the cached Smith form only to pick a principal shift, taken
+exactly when some entry off vertex 0 lies outside the degree box
 ``[-deg(v), deg(v)]`` (``deg`` the non-loop degree), the box the shift is
 proven to land in.  The shift applies the form's recorded elimination
 steps to its one vector, and no dense transform is built.  Any integer
 firing vector keeps the divisor class: a wrong Smith form could slow
-burning down but could not change its answer.  So the two routes can
-still be played against each other in tests.  Burning reads one
-cached table per (graph, base), holding neighbor lists, degrees and
-distances from the base, and moves chips by one firing step, ``_fire``,
-whether it shifts, fires balls or fires the unburnt set.  The Laplacian
-matrices are built apart from that table.
+burning down but could not change its answer.  So the two routes can still
+be played against each other in tests.  Burning reads one cached table per
+graph, holding neighbor lists, degrees and distances from vertex 0, and
+moves chips by one firing step, ``_fire``, whether it shifts, fires balls
+or fires the unburnt set.  The Laplacian matrices are built apart from
+that table.
 
 The subdivision check at the bottom is the reason this module exists: on
 the r-subdivision of a graph, the r-torsion of the critical group has
@@ -101,11 +101,11 @@ def laplacian(graph: MultiGraph) -> IntMatrix:
     return _laplacian_rows(graph, graph.vertex_count)
 
 
-def reduced_laplacian(graph: MultiGraph, base: int) -> IntMatrix:
-    """The Laplacian with the base row and column deleted."""
-    if not (0 <= base < graph.vertex_count):
-        raise ValueError("base vertex out of range")
-    return _laplacian_rows(graph, base)
+def reduced_laplacian(graph: MultiGraph) -> IntMatrix:
+    """The Laplacian with vertex 0's row and column deleted."""
+    if graph.vertex_count == 0:
+        raise ValueError("reduced Laplacian of the empty graph: it has no vertices")
+    return _laplacian_rows(graph, 0)
 
 
 def _laplacian_rows(graph: MultiGraph, base: int) -> IntMatrix:
@@ -134,7 +134,7 @@ def spanning_tree_count(graph: MultiGraph) -> int:
     """Number of spanning trees, by the matrix-tree determinant."""
     if not graph.is_connected():
         raise ValueError("spanning trees need a connected graph")
-    return reduced_laplacian(graph, 0).det()
+    return reduced_laplacian(graph).det()
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +145,15 @@ def spanning_tree_count(graph: MultiGraph) -> int:
 _Neighbors = tuple[tuple[tuple[int, int], ...], ...]
 
 
-# Each (graph, base) is burnt and shifted in a run of calls, then left: from
+# Each graph is burnt and shifted in a run of calls, then left: from
 # cold caches, torsion_sweep(5, rs=(2, 3, 4, 5)) misses _burn_data 4316 times
 # and _reduced_smith 4637 times (8444 hits) at any maxsize from 2 up.
 @lru_cache(maxsize=16)
-def _burn_data(
-    graph: MultiGraph, base: int
-) -> tuple[_Neighbors, tuple[int, ...], tuple[int, ...]]:
+def _burn_data(graph: MultiGraph) -> tuple[_Neighbors, tuple[int, ...], tuple[int, ...]]:
     # per-vertex (neighbor, multiplicity) pairs with loops dropped (loops
     # never move chips or carry fire), the non-loop degree, which is the
-    # half-width of the degree box, and the distance from base along
-    # non-loop edges, -1 where base never reaches
+    # half-width of the degree box, and the distance from vertex 0 along
+    # non-loop edges, -1 where vertex 0 never reaches
     nbs: list[dict[int, int]] = [{} for _ in range(graph.vertex_count)]
     for u, v in graph.edges:
         if u != v:
@@ -163,8 +161,8 @@ def _burn_data(
             nbs[v][u] = nbs[v].get(u, 0) + 1
     neigh = tuple(tuple(sorted(nb.items())) for nb in nbs)
     dist = [-1] * graph.vertex_count
-    dist[base] = 0
-    frontier = [base]
+    dist[0] = 0
+    frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
@@ -178,8 +176,8 @@ def _burn_data(
 
 
 @lru_cache(maxsize=16)
-def _reduced_smith(graph: MultiGraph, base: int):
-    return smith_normal_form(reduced_laplacian(graph, base))
+def _reduced_smith(graph: MultiGraph):
+    return smith_normal_form(reduced_laplacian(graph))
 
 
 def _fire(d: list[int], neigh: _Neighbors, fire: Sequence[int]) -> None:
@@ -191,7 +189,7 @@ def _fire(d: list[int], neigh: _Neighbors, fire: Sequence[int]) -> None:
             d[v] += mult * (fire[w] - xv)
 
 
-def _principal_shift(graph: MultiGraph, base: int, d: list[int]) -> list[int]:
+def _principal_shift(graph: MultiGraph, d: list[int]) -> list[int]:
     """Shift ``d`` by a principal divisor so its entries become small.
 
     Solves the reduced Laplacian system ``L x = d`` exactly through the
@@ -201,35 +199,34 @@ def _principal_shift(graph: MultiGraph, base: int, d: list[int]) -> list[int]:
     then ``V``, so the shift costs time linear in those steps and no dense
     transform is built.  It rounds the solution to the nearest integer
     firing vector and applies that firing.  The result is ``L (x -
-    round(x))`` away from the base, so every entry there is bounded by the
+    round(x))`` away from vertex 0, so every entry there is bounded by the
     vertex's non-loop degree wherever ``d`` started.  Only the choice of
     representative changes: any integer firing vector, even one from a
     wrong Smith form, leaves the class alone.
     """
-    snf = _reduced_smith(graph, base)
+    snf = _reduced_smith(graph)
     big = snf.diagonal[-1]
-    y = snf.left_times([c for v, c in enumerate(d) if v != base])
+    y = snf.left_times(d[1:])
     y = [u * (big // dgn) for u, dgn in zip(y, snf.diagonal)]
     fire = [(2 * x + big) // (2 * big) for x in snf.right_times(y)]
-    fire.insert(base, 0)
     out = list(d)
-    _fire(out, _burn_data(graph, base)[0], fire)
+    _fire(out, _burn_data(graph)[0], [0, *fire])
     return out
 
 
-def dhar_reduce(graph: MultiGraph, divisor: Divisor, base: int) -> Divisor:
-    """The unique base-reduced divisor equivalent to ``divisor``.
+def dhar_reduce(graph: MultiGraph, divisor: Divisor) -> Divisor:
+    """The unique divisor reduced at vertex 0 equivalent to ``divisor``.
 
-    When some entry off the base lies outside the degree box
+    When some entry off vertex 0 lies outside the degree box
     ``[-deg(v), deg(v)]`` (``deg`` the non-loop degree), the divisor is
     first shifted by the principal divisor of the rounded rational solution
     of the Laplacian system, which lands every such entry inside the box
     without leaving the class; a divisor already in the box is left as it
     is, so the rule never fires twice.  Phase one then makes the divisor
-    effective away from the base by firing the balls around the base,
+    effective away from vertex 0 by firing the balls around vertex 0,
     farthest layer first: firing the ball of radius k-1 pushes chips into
     layer k and touches nothing farther out, and the needed multiplicity
-    has a closed form.  Phase two is Dhar's loop: burn from the base, fire
+    has a closed form.  Phase two is Dhar's loop: burn from vertex 0, fire
     the unburnt set as many times as it stays effective, repeat until the
     fire eats everything.  All steps are integer set firings, so the class
     never changes.
@@ -237,20 +234,20 @@ def dhar_reduce(graph: MultiGraph, divisor: Divisor, base: int) -> Divisor:
     if divisor.graph != graph:
         raise ValueError("divisor lives on a different graph")
     n = graph.vertex_count
-    if not (0 <= base < n):
-        raise ValueError("base vertex out of range")
-    neigh, degree, dist = _burn_data(graph, base)
+    if n == 0:
+        raise ValueError("reduction on the empty graph: it has no vertices")
+    neigh, degree, dist = _burn_data(graph)
     if -1 in dist:
         raise ValueError("reduction needs a connected graph")
     if n == 1:
         return divisor
 
     d = list(divisor.coefficients)
-    if any(abs(c) > deg for v, (c, deg) in enumerate(zip(d, degree)) if v != base):
-        d = _principal_shift(graph, base, d)
+    if any(abs(c) > deg for c, deg in zip(d[1:], degree[1:])):
+        d = _principal_shift(graph, d)
     depth = max(dist)
 
-    # phase one: effective away from the base
+    # phase one: effective away from vertex 0
     for layer in range(depth, 0, -1):
         need = 0
         for v in range(n):
@@ -265,9 +262,9 @@ def dhar_reduce(graph: MultiGraph, divisor: Divisor, base: int) -> Divisor:
     # phase two: burn, fire the unburnt, repeat
     while True:
         burnt = [False] * n
-        burnt[base] = True
+        burnt[0] = True
         threat = [0] * n
-        frontier = [base]
+        frontier = [0]
         while frontier:
             x = frontier.pop()
             for y, mult in neigh[x]:
@@ -286,12 +283,11 @@ def dhar_reduce(graph: MultiGraph, divisor: Divisor, base: int) -> Divisor:
         _fire(d, neigh, [0 if b else times for b in burnt])
 
 
-def divisors_equivalent(
-    graph: MultiGraph, d1: Divisor, d2: Divisor, base: int = 0
-) -> bool:
-    """Linear equivalence via uniqueness of the base-reduced representative.
+def divisors_equivalent(graph: MultiGraph, d1: Divisor, d2: Divisor) -> bool:
+    """Linear equivalence via uniqueness of the representative reduced at
+    vertex 0.
 
-    The zero divisor is base-reduced on a connected graph, so ``d1`` and
+    The zero divisor is reduced on a connected graph, so ``d1`` and
     ``d2`` are equivalent exactly when ``d1 - d2`` reduces to zero: one
     reduction instead of two.
     """
@@ -299,7 +295,7 @@ def divisors_equivalent(
         raise ValueError("divisors live on a different graph")
     if d1.degree() != d2.degree():
         return False
-    return not any(dhar_reduce(graph, d1 - d2, base).coefficients)
+    return not any(dhar_reduce(graph, d1 - d2).coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +354,7 @@ def critical_group(graph: MultiGraph) -> CriticalGroup:
 
 def _critical_group(graph: MultiGraph) -> CriticalGroup:
     """``critical_group`` unchecked: ``graph`` connected and not empty."""
-    snf = _reduced_smith(graph, 0)
+    snf = _reduced_smith(graph)
     positions = [i for i, d in enumerate(snf.diagonal) if d > 1]
     gens = tuple(
         Divisor._of(graph, (-sum(column), *column))

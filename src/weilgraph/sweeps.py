@@ -200,7 +200,7 @@ def pairing_equivalence_sweep(max_edges: int = 6, inject_fault: bool = False) ->
         cycles = all_simple_cycles(graph)
         basis = _coboundary_basis(graph)
         for gamma in all_cochains(graph):
-            cover = build_double_cover(graph, gamma)
+            cover = build_double_cover(gamma)
             connected = cover.is_connected()
             if connected == _is_coboundary(basis, gamma):
                 res.record(
@@ -211,14 +211,13 @@ def pairing_equivalence_sweep(max_edges: int = 6, inject_fault: bool = False) ->
                 )
             for alpha in cycles:
                 res.instances += 1
-                lift = _lift_cycle(cover, alpha.edges)
-                count, comps = lift
-                bit_cover = 1 if count == 1 else 0
+                comps = _lift_cycle(cover, alpha.edges)
+                bit_cover = 1 if len(comps) == 1 else 0
                 if fault:
                     bit_cover ^= 1
                     fault = False
                 bit_algebraic = _parity(gamma.edges, alpha.edges)
-                if bit_cover != bit_algebraic or not lift_shape_ok(lift, len(alpha.edges)):
+                if bit_cover != bit_algebraic or not lift_shape_ok(comps, len(alpha.edges)):
                     res.record(
                         kind="pairing",
                         graph=graph.edges,
@@ -292,7 +291,7 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
                     for j, alpha in enumerate(form.reduced_cycles):
                         res.instances += 1
                         expected = form.gram.entry(i, h + c + j)
-                        if pairing_via_cover(graph, gamma, alpha) != expected:
+                        if pairing_via_cover(gamma, alpha) != expected:
                             res.record(
                                 kind="cover-consistency",
                                 graph=graph.edges,
@@ -335,9 +334,7 @@ def torsion_sweep(
                     if gen.degree() != 0:
                         problems.append("generator-degree")
                         break
-                    if not divisors_equivalent(
-                        child, gen.scale(r), Divisor.zero(child), base=0
-                    ):
+                    if not divisors_equivalent(child, gen.scale(r), Divisor.zero(child)):
                         problems.append("generator-order")
                         break
                 if problems:

@@ -216,7 +216,7 @@ def test_6_chip_firing_against_independent_oracles():
             if sum(coeffs) == 0
         ]
         reduced = {
-            coeffs: dhar_reduce(graph, Divisor(graph, coeffs), 0)
+            coeffs: dhar_reduce(graph, Divisor(graph, coeffs))
             for coeffs in divisors
         }
         oracle_cache = {}

@@ -428,8 +428,8 @@ def test_tropical_generators_at_the_ceiling(tmp_path, capsys):
     child = rep.subdivision
     zero = Divisor.zero(child)
     for gen in rng.sample(rep.generators, 5):
-        assert dhar_reduce(child, gen, 0) != zero
-        assert dhar_reduce(child, gen.scale(2), 0) == zero
+        assert dhar_reduce(child, gen) != zero
+        assert dhar_reduce(child, gen.scale(2)) == zero
 
 
 def test_torsion_form_dimension_ceiling(tmp_path, capsys):

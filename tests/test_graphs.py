@@ -84,14 +84,6 @@ def test_constructors_reject_non_integers(build):
         build(theta_graph())
 
 
-def test_degree_counts_loops_twice():
-    g = dumbbell_graph()
-    assert g.degree(0) == 3
-    assert g.degree(1) == 3
-    assert bouquet_graph(2).degree(0) == 4
-    assert path_graph(3).degree(1) == 2
-
-
 def test_components_and_genus():
     assert theta_graph().genus() == 2
     assert dumbbell_graph().genus() == 2

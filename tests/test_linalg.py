@@ -265,7 +265,7 @@ def test_smith_transforms_pinned():
     # the witnesses entry for entry, not only the diagonal: any change to
     # the pivot order, the steps or the way they are read back shows
     k4 = IntMatrix([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
-    theta = reduced_laplacian(theta_graph().subdivide(3), 0)
+    theta = reduced_laplacian(theta_graph().subdivide(3))
     cases = [
         (
             k4,
@@ -338,6 +338,26 @@ def test_smith_random_property_sweep():
             for m in minors:
                 g = gcd(g, m)
             assert prod(snf.diagonal[:k]) == g
+
+
+def test_smith_records_shears_as_shears():
+    # a unit triangular 2 x 2 step is a shear and is kept as (i, j, c): on
+    # the rows as taken, on the columns transposed
+    rng = random.Random(41)
+    mats = [reduced_laplacian(theta_graph().subdivide(3))]
+    mats += [
+        IntMatrix([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]) for _ in range(100)
+    ]
+    shears = 0
+    for mat in mats:
+        snf = smith_normal_form(mat)
+        for steps, _ in (snf._row_record, snf._col_record):
+            for step in steps:
+                if len(step) == 6:
+                    _, _, x, y, z, w = step
+                    assert not (x == w == 1 and 0 in (y, z)), step
+                shears += len(step) == 3
+    assert shears
 
 
 def test_smith_applies_its_steps_to_vectors():

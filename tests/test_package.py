@@ -1,6 +1,6 @@
 """Package-level behavior: the import footprint, the exported names and
 their single declaration, the independence of the routes, unused imports
-and the demo scripts."""
+the demo scripts and the README's quick start."""
 
 import ast
 import hashlib
@@ -17,7 +17,8 @@ import weilgraph
 
 SRC = Path(weilgraph.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 DEMO_STDOUT_SHA256 = {
     "01_pairing_basics": "e583cf8f43ccab4a3db5c09c8604060682e29a903ae187f887a307955a7bf473",
     "02_double_covers": "7550d1220d05ead335768eef30a0486ca34bcca849da2fbe97e90402b3c6cd5f",
@@ -222,3 +223,24 @@ def test_demo_runs(demo):
     proc = _run([str(demo)])
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo.stem]
+
+
+def test_readme_quick_start_runs():
+    # the python block under "Quick start" runs as written, and a line
+    # `expression  # comment` shows its value: the comment starts with the
+    # value's repr
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = 0
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        comment = lines[stmt.end_lineno - 1][stmt.end_col_offset :].strip()
+        if comment:
+            assert comment.startswith("# " + repr(value)), (ast.unparse(stmt), value)
+            shown += 1
+    assert shown

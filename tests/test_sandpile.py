@@ -41,8 +41,9 @@ def test_laplacian_frozen():
     # loops drop out of the Laplacian entirely
     assert laplacian(dumbbell_graph()).entries == ((1, -1), (-1, 1))
     assert laplacian(theta_graph()).entries == ((3, -3), (-3, 3))
-    assert reduced_laplacian(cycle_graph(3), 0).entries == ((2, -1), (-1, 2))
-    assert reduced_laplacian(theta_graph(), 1).entries == ((3,),)
+    assert reduced_laplacian(cycle_graph(3)).entries == ((2, -1), (-1, 2))
+    assert reduced_laplacian(theta_graph()).entries == ((3,),)
+    assert reduced_laplacian(path_graph(3)).entries == ((2, -1), (-1, 1))
 
 
 def test_laplacian_rows_sum_to_zero():
@@ -63,6 +64,8 @@ def test_spanning_tree_count():
     assert spanning_tree_count(bouquet_graph(2)) == 1
     with pytest.raises(ValueError):
         spanning_tree_count(MultiGraph(2, ()))
+    with pytest.raises(ValueError, match="empty graph: it has no vertices"):
+        spanning_tree_count(MultiGraph(0, ()))
 
 
 def test_divisor_arithmetic():
@@ -80,22 +83,23 @@ def test_divisor_arithmetic():
 
 def test_dhar_frozen():
     g = cycle_graph(3)
-    assert dhar_reduce(g, Divisor(g, (0, 1, -1)), 0).coefficients == (-1, 0, 1)
-    assert dhar_reduce(g, Divisor(g, (0, -1, 1)), 0).coefficients == (-1, 1, 0)
+    assert dhar_reduce(g, Divisor(g, (0, 1, -1))).coefficients == (-1, 0, 1)
+    assert dhar_reduce(g, Divisor(g, (0, -1, 1))).coefficients == (-1, 1, 0)
     zero = Divisor.zero(g)
-    assert dhar_reduce(g, zero, 0) == zero
+    assert dhar_reduce(g, zero) == zero
 
 
 def test_dhar_validation():
     g = cycle_graph(3)
     d = Divisor(g, (0, 0, 0))
     with pytest.raises(ValueError):
-        dhar_reduce(theta_graph(), d, 0)
-    with pytest.raises(ValueError):
-        dhar_reduce(g, d, 3)
+        dhar_reduce(theta_graph(), d)
+    empty = MultiGraph(0, ())
+    with pytest.raises(ValueError, match="empty graph"):
+        dhar_reduce(empty, Divisor.zero(empty))
     disconnected = MultiGraph(4, ((0, 1), (2, 3)))
     with pytest.raises(ValueError):
-        dhar_reduce(disconnected, Divisor.zero(disconnected), 0)
+        dhar_reduce(disconnected, Divisor.zero(disconnected))
 
 
 def test_dhar_properties():
@@ -104,13 +108,12 @@ def test_dhar_properties():
         g = random_connected(rng, 5, 4, min_vertices=2)
         n = g.vertex_count
         d = Divisor(g, tuple(rng.randint(-4, 4) for _ in range(n)))
-        base = rng.randrange(n)
-        red = dhar_reduce(g, d, base)
-        # effective away from the base, stable under reduction, same class
-        assert all(red.coefficients[v] >= 0 for v in range(n) if v != base)
-        assert dhar_reduce(g, red, base) == red
+        red = dhar_reduce(g, d)
+        # effective away from vertex 0, stable under reduction, same class
+        assert all(c >= 0 for c in red.coefficients[1:])
+        assert dhar_reduce(g, red) == red
         assert red.degree() == d.degree()
-        assert divisors_equivalent(g, d, red, base)
+        assert divisors_equivalent(g, d, red)
 
 
 def test_dhar_reduced_is_class_invariant():
@@ -125,7 +128,7 @@ def test_dhar_reduced_is_class_invariant():
         fired = Divisor(g, tuple(
             c - lap.entries[v][w] for w, c in enumerate(d.coefficients)
         ))
-        assert dhar_reduce(g, d, 0) == dhar_reduce(g, fired, 0)
+        assert dhar_reduce(g, d) == dhar_reduce(g, fired)
 
 
 def test_equivalence_cases():
@@ -239,16 +242,16 @@ def test_principal_shift_preserves_class():
         g = random_connected(rng, 5, 4, min_vertices=2)
         n = g.vertex_count
         coeffs = [rng.randint(-500, 500) for _ in range(n)]
-        base = rng.randrange(n)
-        shifted = _principal_shift(g, base, list(coeffs))
+        shifted = _principal_shift(g, list(coeffs))
         assert sum(shifted) == sum(coeffs)
-        a = dhar_reduce(g, Divisor(g, tuple(coeffs)), base)
-        b = dhar_reduce(g, Divisor(g, tuple(shifted)), base)
+        a = dhar_reduce(g, Divisor(g, tuple(coeffs)))
+        b = dhar_reduce(g, Divisor(g, tuple(shifted)))
         assert a == b
-        # rounding leaves at most a degree's worth of residue off the base
-        for v in range(n):
-            if v != base:
-                assert abs(shifted[v]) <= g.degree(v)
+        # rounding leaves at most a non-loop degree's worth of residue off
+        # vertex 0: the Laplacian diagonal, where a loop counts nothing
+        lap = laplacian(g).entries
+        for v in range(1, n):
+            assert abs(shifted[v]) <= lap[v][v]
 
 
 def test_fire_subtracts_the_laplacian_image():
@@ -263,12 +266,12 @@ def test_fire_subtracts_the_laplacian_image():
         fire = [rng.randint(-5, 5) for _ in range(n)]
         lap = laplacian(g).entries
         expect = [d[v] - sum(x * f for x, f in zip(lap[v], fire)) for v in range(n)]
-        _fire(d, _burn_data(g, rng.randrange(n))[0], fire)
+        _fire(d, _burn_data(g)[0], fire)
         assert d == expect, (edges, fire)
 
 
 def test_burn_caches_miss_as_if_unbounded(monkeypatch):
-    # a (graph, base) is done with before the next one starts, so the
+    # a graph is done with before the next one starts, so the
     # small bound on both caches costs no misses
     caches = ("_burn_data", "_reduced_smith")
 
@@ -304,7 +307,7 @@ def _noisy_shears(rng, records=("_row_record", "_col_record")):
 def _hand_out(monkeypatch, corrupt):
     # every cached Smith form handed out as corrupt(form)
     honest = sandpile._reduced_smith
-    monkeypatch.setattr(sandpile, "_reduced_smith", lambda g, base: corrupt(honest(g, base)))
+    monkeypatch.setattr(sandpile, "_reduced_smith", lambda g: corrupt(honest(g)))
 
 
 def test_burning_survives_a_corrupted_smith_form(monkeypatch):
@@ -316,15 +319,14 @@ def test_burning_survives_a_corrupted_smith_form(monkeypatch):
         g = random_connected(rng, 5, 4, min_vertices=2)
         n = g.vertex_count
         coeffs = tuple(rng.randint(-1000, 1000) for _ in range(n))
-        base = rng.randrange(n)
-        cases.append((g, Divisor(g, coeffs), base))
-    clean = [dhar_reduce(g, d, base) for g, d, base in cases]
-    clean_shifts = [_principal_shift(g, base, list(d.coefficients)) for g, d, base in cases]
+        cases.append((g, Divisor(g, coeffs)))
+    clean = [dhar_reduce(g, d) for g, d in cases]
+    clean_shifts = [_principal_shift(g, list(d.coefficients)) for g, d in cases]
 
     _hand_out(monkeypatch, _noisy_shears(rng))
-    shifts = [_principal_shift(g, base, list(d.coefficients)) for g, d, base in cases]
+    shifts = [_principal_shift(g, list(d.coefficients)) for g, d in cases]
     assert shifts != clean_shifts
-    assert [dhar_reduce(g, d, base) for g, d, base in cases] == clean
+    assert [dhar_reduce(g, d) for g, d in cases] == clean
 
 
 # Forty edges at r = 4: the 132 x 132 reduced Laplacian whose Smith form
@@ -342,41 +344,41 @@ def test_forty_edge_subdivision_keeps_transforms_small():
     g = InputDocument.parse(FORTY_EDGES).graph()
     rep = verify_torsion_on_subdivision(g, 4)
     assert rep.verdict and rep.torsion_count == 4 ** g.genus() == 4 ** 28
-    snf = smith_normal_form(reduced_laplacian(rep.subdivision, 0))
+    snf = smith_normal_form(reduced_laplacian(rep.subdivision))
     assert snf.matrix.rows == 132
     for mat in check_smith_form(snf):
         assert max(abs(x).bit_length() for row in mat for x in row) <= 65536
 
 
 def test_shift_fires_exactly_outside_the_degree_box(monkeypatch):
-    # the shift is taken when some entry off the base leaves [-deg, deg],
+    # the shift is taken when some entry off vertex 0 leaves [-deg, deg],
     # the box it is proven to land in, and never otherwise
     shifted = []
     honest = sandpile._principal_shift
 
-    def spy(graph, base, d):
+    def spy(graph, d):
         shifted.append(tuple(d))
-        return honest(graph, base, d)
+        return honest(graph, d)
 
     monkeypatch.setattr(sandpile, "_principal_shift", spy)
     g = K4  # every degree is 3
     for coeffs, expect in (
         ((0, 3, -3, 0), False),
-        ((-100, 3, 3, 3), False),  # the base entry never counts
+        ((-100, 3, 3, 3), False),  # vertex 0's entry never counts
         ((0, 4, -4, 0), True),
         ((0, 0, -4, 4), True),
         ((3, -3, 0, 0), False),
     ):
         shifted.clear()
-        red = dhar_reduce(g, Divisor(g, coeffs), 0)
+        red = dhar_reduce(g, Divisor(g, coeffs))
         assert bool(shifted) == expect, coeffs
-        assert dhar_reduce(g, red, 0) == red
+        assert dhar_reduce(g, red) == red
     # a dumbbell's vertices have degree 1 whatever their loops
     g = dumbbell_graph()
     shifted.clear()
-    dhar_reduce(g, Divisor(g, (-1, 1)), 0)
+    dhar_reduce(g, Divisor(g, (-1, 1)))
     assert not shifted
-    dhar_reduce(g, Divisor(g, (-2, 2)), 0)
+    dhar_reduce(g, Divisor(g, (-2, 2)))
     assert shifted
 
 
@@ -398,10 +400,10 @@ def test_torsion_sweep_ignores_a_wrong_shift(monkeypatch):
     outside = []
     honest = sandpile._principal_shift
 
-    def spy(graph, base, d):
-        out = honest(graph, base, d)
+    def spy(graph, d):
+        out = honest(graph, d)
         lap = laplacian(graph).entries
-        outside.append(any(abs(c) > lap[v][v] for v, c in enumerate(out) if v != base))
+        outside.append(any(abs(c) > lap[v][v] for v, c in enumerate(out) if v))
         return out
 
     monkeypatch.setattr(sandpile, "_principal_shift", spy)
