@@ -72,7 +72,7 @@ class DoubleCover:
             raise ValueError("connectivity of a cover of the empty graph: it has no vertices")
         if not self.base.is_connected():
             raise ValueError("connectivity of the cover needs a connected base")
-        return self.total.is_connected()
+        return self.total._component_count() <= 1
 
 
 def build_double_cover(gamma: Cochain1) -> DoubleCover:
@@ -84,14 +84,13 @@ def build_double_cover(gamma: Cochain1) -> DoubleCover:
     """
     base = gamma.graph
     n = base.vertex_count
+    crossing = gamma.edges
     lifted: list[tuple[int, int]] = []
     for e, (u, v) in enumerate(base.edges):
-        if e in gamma.edges:
-            lifted.append((u, v + n))
-            lifted.append((u + n, v))
+        if e in crossing:
+            lifted += (u, v + n), (u + n, v)
         else:
-            lifted.append((u, v))
-            lifted.append((u + n, v + n))
+            lifted += (u, v), (u + n, v + n)
     total = MultiGraph._of(2 * n, tuple(lifted))
     return DoubleCover(classifying=gamma, total=total)
 
@@ -107,15 +106,21 @@ def lift_cycle(cover: DoubleCover, alpha: Chain1) -> tuple[frozenset, ...]:
         raise ValueError("cycle lives on a different graph")
     if not is_simple_cycle(alpha):
         raise ValueError("lift needs a single simple cycle")
-    return tuple(map(frozenset, _lift_cycle(cover, alpha.edges)))
+    return tuple(map(frozenset, _lift_cycle(cover, _lifted_edges(alpha.edges))))
 
 
-def _lift_cycle(cover: DoubleCover, edges: frozenset) -> list[list[int]]:
+def _lifted_edges(edges: Collection[int]) -> list[int]:
+    """The total-graph edges over the base edges ``edges``, ascending:
+    ``2e`` and ``2e + 1`` for each.  The same list serves every cover of
+    one base, so a sweep computes it once per cycle."""
+    return [k for e in sorted(edges) for k in (2 * e, 2 * e + 1)]
+
+
+def _lift_cycle(cover: DoubleCover, lifted: list[int]) -> list[list[int]]:
     """``lift_cycle`` without its checks, each component an edge list:
-    ``edges`` must be the support of a simple cycle of the base, so the
-    total graph's unchecked walk can take their lifts as they are."""
-    components, _ = cover.total._edge_components([k for e in edges for k in (2 * e, 2 * e + 1)])
-    return components
+    ``lifted`` must be ``_lifted_edges`` of the support of a simple cycle
+    of the base, which the total graph's unchecked walk takes as it is."""
+    return cover.total._edge_components(lifted)[0]
 
 
 def pairing_via_cover(gamma: Cochain1, alpha: Chain1) -> int:
@@ -130,7 +135,9 @@ def pairing_via_cover(gamma: Cochain1, alpha: Chain1) -> int:
 def lift_shape_ok(components: Sequence[Collection[int]], length: int) -> bool:
     """Whether the components of a lift of an l-cycle, from ``lift_cycle``
     or ``_lift_cycle``, are one 2l-cycle or two l-cycles."""
-    return [len(c) for c in components] in ([2 * length], [length, length])
+    if len(components) == 1:
+        return len(components[0]) == 2 * length
+    return len(components) == 2 and len(components[0]) == len(components[1]) == length
 
 
 def cover_to_dot(cover: DoubleCover) -> str:

@@ -12,13 +12,15 @@ edge is just the multiset of its endpoints.
 
 One edge walk, ``MultiGraph._edge_components``, answers every connectivity
 question, from the genus to the sheets of a cycle's lift.  It trusts its
-edge indices, so it serves the inner loops directly (a cycle's lift, the
-simple-cycle test); the public ``edge_components`` checks them first.  The
-component count adds the vertices no edge touches to the walk's component
-count and never reads ``spanning_forest``: the model sweep checks a torsion
-order whose exponent is the genus against a form dimension that counts
-fundamental cycles, and a count read off the forest would pass that check by
-construction.
+edge indices and their ascending order, so it serves the inner loops
+directly (a cycle's lift, the simple-cycle test); the public
+``edge_components`` checks and sorts them first.  The component count
+(``component_count``, cached; ``_component_count`` for a graph read once,
+such as a double cover's total graph) adds the vertices no edge touches to
+the walk's component count and never reads ``spanning_forest``: the model
+sweep checks a torsion order whose exponent is the genus against a form
+dimension that counts fundamental cycles, and a count read off the forest
+would pass that check by construction.
 """
 
 from __future__ import annotations
@@ -96,12 +98,14 @@ class MultiGraph:
 
     def _edge_components(self, edges: Iterable[int]) -> tuple[list[list[int]], int]:
         """The one component walk, unchecked: ``edges`` must be distinct edge
-        indices, as the inner loops hold them.  Returns the edge list of each
-        component of the subgraph they make, ordered by smallest member, and
-        the number of vertices they touch.
+        indices in ascending order, as every caller holds them (a range, a
+        sorted support, a cycle's lifted edges).  Returns the edge list of
+        each component of the subgraph they make, ordered by smallest
+        member, and the number of vertices they touch.
 
-        Edges are read in ascending order.  Each touched vertex carries, in a
-        list indexed by vertex, the label of its component: a record
+        Edges are read in the order given, so a record's first edge is its
+        smallest.  Each touched vertex carries, in a list indexed by vertex,
+        the label of its component: a record
         ``[smallest edge, vertices, edges]``.  An edge between two labels
         relabels the vertices of the smaller side (Hopcroft and Ullman, SIAM
         J. Comput. 2, 1973), so no vertex is relabelled more than log2 of the
@@ -110,7 +114,7 @@ class MultiGraph:
         ends = self.edges
         label: list = [None] * self.vertex_count
         records = []
-        for e in sorted(edges):
+        for e in edges:
             u, v = ends[e]
             a, b = label[u], label[v]
             if a is b:
@@ -149,12 +153,18 @@ class MultiGraph:
         The checked entry to ``_edge_components``: each index must name an
         edge, and a repeated one counts once.
         """
-        components, _ = self._edge_components(self._edge_subset(edges))
+        components, _ = self._edge_components(sorted(self._edge_subset(edges)))
         return tuple(map(frozenset, components))
 
     @cached_property
     def component_count(self) -> int:
-        """Components of the edges, plus one for each vertex no edge touches.
+        """Components of the edges, plus one for each vertex no edge touches:
+        ``_component_count``, read once per graph."""
+        return self._component_count()
+
+    def _component_count(self) -> int:
+        """``component_count`` uncached, for a graph whose count is read
+        once, such as a double cover's total graph.
 
         Both numbers come from one unchecked ``_edge_components`` walk of
         every edge, and no sets are built.  The count never reads

@@ -231,5 +231,5 @@ def is_simple_cycle(alpha: Chain1) -> bool:
         degree[v] = degree.get(v, 0) + 1
     if any(d != 2 for d in degree.values()):
         return False
-    components, _ = graph._edge_components(support)
+    components, _ = graph._edge_components(sorted(support))
     return len(components) == 1

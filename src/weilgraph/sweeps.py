@@ -19,13 +19,15 @@ that it would actually catch a wrong answer.
 Facts about a graph are derived once per graph, and every check still runs
 once per instance.  Per graph: the simple cycles (validated once by
 ``all_simple_cycles``, then lifted and paired through the unchecked cores
-``cover._lift_cycle`` and ``homology._parity``), the echelon basis of the
-coboundary image that ``_is_coboundary`` reduces against, and, in the
-model sweep, the reduced-graph blocks of each set of even edges
-(``curvemodel``'s cache, keyed on the graph and that set).  Per
-instance: one double cover and its connectivity, one reduction of the
-cochain against the coboundary basis, one lift and one parity per simple
-cycle, and one Weil form with all of its checks per model.
+``cover._lift_cycle`` and ``homology._parity``), each cycle's lifted edge
+list and length (``cover._lifted_edges``, the same for every cover of the
+graph), the echelon basis of the coboundary image that ``_is_coboundary``
+reduces against, and, in the model sweep, the reduced-graph blocks of each
+set of even edges (``curvemodel``'s cache, keyed on the graph and that set).
+Per instance: one double cover and its connectivity, one reduction of the
+cochain's bit row (its index in ``all_cochains``) against the coboundary
+basis, one lift and one parity per simple cycle, and one Weil form with all
+of its checks per model.
 
 The model sweep's cover check pairs the cocycles of each all-even model
 with its fundamental cycles (one non-forest edge closed by a forest path),
@@ -38,7 +40,13 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
-from .cover import _lift_cycle, build_double_cover, lift_shape_ok, pairing_via_cover
+from .cover import (
+    _lift_cycle,
+    _lifted_edges,
+    build_double_cover,
+    lift_shape_ok,
+    pairing_via_cover,
+)
 from .curvemodel import TwistedCurveModel
 from .graphs import MultiGraph
 from .homology import (
@@ -126,10 +134,20 @@ def _connected_with_edges(
 
 
 def all_cochains(graph: MultiGraph) -> Iterator[Cochain1]:
-    """Every GF(2) edge function, in bitmask order."""
-    m = graph.edge_count
-    for mask in range(1 << m):
-        yield Cochain1._of(graph, frozenset(e for e in range(m) if mask >> e & 1))
+    """Every GF(2) edge function, in bitmask order: the one yielded at
+    index ``mask`` has support ``{e : mask >> e & 1}``, so ``mask`` is its
+    bit row.
+
+    The supports are built before the first is yielded, by doubling: those
+    of the masks below ``2 ** (e + 1)`` are those below ``2 ** e``, then
+    each of them with edge ``e`` added.
+    """
+    supports = [frozenset()]
+    for e in range(graph.edge_count):
+        bit = {e}
+        supports += [support | bit for support in supports]
+    for support in supports:
+        yield Cochain1._of(graph, support)
 
 
 def all_simple_cycles(graph: MultiGraph) -> tuple[Chain1, ...]:
@@ -165,10 +183,11 @@ def _coboundary_basis(graph: MultiGraph) -> dict[int, int]:
     return _echelon(rows)
 
 
-def _is_coboundary(basis: Mapping[int, int], gamma: Cochain1) -> bool:
-    # gamma lies in the image of the vertex-function coboundary map, whose
+def _is_coboundary(basis: Mapping[int, int], bits: int) -> bool:
+    # the cochain whose bit row is ``bits`` (bit e set when edge e is in its
+    # support) lies in the image of the vertex-function coboundary map, whose
     # echelon basis is ``basis``
-    return not _reduce(sum(1 << e for e in gamma.edges), basis)
+    return not _reduce(bits, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -197,27 +216,30 @@ def pairing_equivalence_sweep(max_edges: int = 6, inject_fault: bool = False) ->
     res = SweepResult("cover-lift-pairing")
     fault = inject_fault
     for graph in connected_multigraphs(max_edges):
-        cycles = all_simple_cycles(graph)
+        cycles = [
+            (alpha, _lifted_edges(alpha.edges), len(alpha.edges))
+            for alpha in all_simple_cycles(graph)
+        ]
         basis = _coboundary_basis(graph)
-        for gamma in all_cochains(graph):
+        for mask, gamma in enumerate(all_cochains(graph)):
             cover = build_double_cover(gamma)
             connected = cover.is_connected()
-            if connected == _is_coboundary(basis, gamma):
+            if connected == _is_coboundary(basis, mask):
                 res.record(
                     kind="connectivity",
                     graph=graph.edges,
                     gamma=sorted(gamma.edges),
                     connected=connected,
                 )
-            for alpha in cycles:
-                res.instances += 1
-                comps = _lift_cycle(cover, alpha.edges)
+            res.instances += len(cycles)
+            for alpha, lifted, length in cycles:
+                comps = _lift_cycle(cover, lifted)
                 bit_cover = 1 if len(comps) == 1 else 0
                 if fault:
                     bit_cover ^= 1
                     fault = False
                 bit_algebraic = _parity(gamma.edges, alpha.edges)
-                if bit_cover != bit_algebraic or not lift_shape_ok(comps, len(alpha.edges)):
+                if bit_cover != bit_algebraic or not lift_shape_ok(comps, length):
                     res.record(
                         kind="pairing",
                         graph=graph.edges,
@@ -308,10 +330,12 @@ def torsion_sweep(
 ) -> SweepResult:
     """Subdivision r-torsion on every small graph, both subdivision modes.
 
-    Per instance: the realized torsion count must be r to the graph genus,
-    every generator must have degree zero and support inside the child's
-    vertex set, and r times each generator must reduce to zero (checked by
-    burning, not by the Smith form that produced the generator).
+    Per instance, each recorded under its kind: the realized torsion count
+    must be r to the graph genus (``count``), every generator must have
+    degree zero (``generator-degree``), and r times each generator must
+    reduce to zero (``generator-order``; checked by burning, not by the
+    Smith form that produced the generator).  A generator on another graph
+    than the child is no counterexample: ``divisors_equivalent`` raises.
     """
     if any(r < 1 for r in rs):
         raise ValueError("torsion indices must be positive")

@@ -10,8 +10,10 @@ from weilgraph import (
     Chain1,
     Cochain0,
     Cochain1,
+    TwistedCurveModel,
     bouquet_graph,
     build_double_cover,
+    connected_multigraphs,
     cover_to_dot,
     cycle_graph,
     dumbbell_graph,
@@ -138,6 +140,39 @@ def test_lift_shape_component_sizes():
             a, b = comps
             assert len(a) == len(b) == len(alpha.edges)
             assert frozenset(cov.deck_edge(e) for e in a) == b
+
+
+def test_lift_shape_rejects_wrong_shapes():
+    # the shapes a lift of an l-cycle can have, and the ones it cannot
+    for length in (1, 2, 3, 5):
+        assert lift_shape_ok([list(range(2 * length))], length)
+        assert lift_shape_ok([list(range(length)), list(range(length, 2 * length))], length)
+        assert not lift_shape_ok([list(range(length))], length)
+        assert not lift_shape_ok([list(range(length)), list(range(length + 1))], length)
+        assert not lift_shape_ok([list(range(length + 1)), list(range(length))], length)
+        assert not lift_shape_ok([list(range(2 * length)), []], length)
+        assert not lift_shape_ok([list(range(length))] * 3, length)
+        assert not lift_shape_ok([], length)
+
+
+def test_cover_pairing_matches_weil_form_on_every_even_set():
+    # the h x q corner of every genus-free model with at most five edges,
+    # every set of even edges, against the cover pairing of its witnesses;
+    # the model sweep makes this check on all-even models only
+    keys = checks = 0
+    for g in connected_multigraphs(5):
+        m = g.edge_count
+        for even_mask in range(1 << m):
+            orders = tuple(2 if even_mask >> e & 1 else 1 for e in range(m))
+            form = TwistedCurveModel(g, (0,) * g.vertex_count, orders).weil_form()
+            h = form.h_dim
+            assert form.component_dim == 0
+            for i, gamma in enumerate(form.cocycles):
+                for j, alpha in enumerate(form.reduced_cycles):
+                    assert pairing_via_cover(gamma, alpha) == form.gram.entry(i, h + j)
+                    checks += 1
+            keys += 1
+    assert (keys, checks) == (18245, 26906)
 
 
 def test_dot_output():

@@ -146,7 +146,14 @@ def test_routes_stay_independent():
         if isinstance(node, ast.FunctionDef)
     }
     forest_names = {"spanning_forest", "fundamental_cycles", "find", "parent"}
-    walks = ("genus", "component_count", "is_connected", "edge_components", "_edge_components")
+    walks = (
+        "genus",
+        "component_count",
+        "_component_count",
+        "is_connected",
+        "edge_components",
+        "_edge_components",
+    )
     for name in walks:
         assert _names(graph_defs[name]) & forest_names == set(), name
 

@@ -3,7 +3,8 @@
 The sweeps cover every graph with up to six edges; these draw connected
 multigraphs with 8 to 40 edges, loops and parallel edges included, and
 check that the canonical pairing Gram is the identity, that the cover
-route agrees with the support-parity pairing on fundamental cycles, that
+route agrees with the support-parity pairing on fundamental cycles and a
+cover is connected exactly when its cochain is no coboundary, that
 burning agrees with an exact rational solve and is idempotent, that
 burning's principal shift is the rounded rational solution, that
 subdividing each edge into r parts realizes r to the genus r-torsion
@@ -53,6 +54,7 @@ from weilgraph import (  # noqa: E402
 )
 from weilgraph.cover import lift_shape_ok  # noqa: E402
 from weilgraph.sandpile import _principal_shift  # noqa: E402
+from weilgraph.sweeps import _coboundary_basis, _is_coboundary  # noqa: E402
 
 # the same draws on every run, so a failure replays
 SEEDED_SETTINGS = settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -82,10 +84,13 @@ def test_pairing_gram_is_identity(graph):
 @given(connected_multigraphs(), st.data())
 def test_cover_pairing_equals_graph_pairing(graph, data):
     cycles = homology_basis(graph).cycles
+    basis = _coboundary_basis(graph)
     m = graph.edge_count
     for _ in range(3):
         gamma = Cochain1(graph, frozenset(data.draw(st.sets(st.integers(0, m - 1)))))
         cover = build_double_cover(gamma)
+        bits = sum(1 << e for e in gamma.edges)
+        assert cover.is_connected() == (not _is_coboundary(basis, bits))
         for alpha in cycles:
             assert is_simple_cycle(alpha)
             lift = lift_cycle(cover, alpha)
