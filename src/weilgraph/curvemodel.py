@@ -19,17 +19,20 @@ zero; that choice is a documented representative and nothing downstream
 reads those blocks.  The form is non-degenerate exactly when every
 non-separating edge has even stabilizer order.
 
-Per graph and per set of even edges, not per model: the reduced graph, its
-cycle basis pushed into the parent graph and the h x q pairing bits depend
-on nothing else.  ``_reduced_blocks`` computes them once per
-``(graph, even_edges)`` key in an ``lru_cache`` of 16 entries, enough
-because a model sweep is done with one key before it starts the next, and
-``reduced_graph``, ``reduced_genus``, ``two_torsion_order`` and
-``weil_form`` all read them from there.  ``reduced_genus`` counts edges,
-vertices and components of the cached reduced graph rather than the cycle
-basis that sizes the q block, so the torsion order and the form dimension
-stay two independent counts.  Per model there remains only the genus
-bookkeeping and the assembly of the Gram rows around those blocks.
+Per graph: the cocycles that index the h block (``homology_basis``'s
+cache).  Per graph and set of even edges, not per model: the reduced graph,
+its cycle basis pushed into the parent graph and the h x q pairing bits.
+``_reduced_blocks`` computes these once per ``(graph, even_edges)`` key,
+with the graph's cocycles alongside, in an ``lru_cache`` of 16 entries,
+enough because a model sweep is done with one key before it starts the
+next.  Per model there remains only the genus bookkeeping,
+``_two_torsion_order``, and the assembly of the Gram rows around those
+blocks, ``_weil_form``.  The methods of ``TwistedCurveModel`` call these
+two with the model's own blocks; a sweep that holds the blocks of one
+even-edge set calls them directly for every model that shares it.  The
+reduced genus counts edges, vertices and components of the reduced graph
+rather than the cycle basis that sizes the q block, so the torsion order
+and the form dimension stay two independent counts.
 """
 
 from __future__ import annotations
@@ -51,9 +54,10 @@ __all__ = [
 
 
 class _ReducedBlocks(NamedTuple):
-    """What a model's torsion and Weil form read from its reduced graph."""
+    """What a model's torsion and Weil form read from its graph and reduced graph."""
 
     reduced: MultiGraph
+    cocycles: tuple[Cochain1, ...]  # the parent graph's cohomology basis
     pushed: tuple[Chain1, ...]  # reduced cycle basis, in parent edge indices
     pairing: tuple[int, ...]  # row i, bit j: cocycle i paired with pushed j
     transposed: tuple[int, ...]  # row j, bit i: the same bit
@@ -71,11 +75,50 @@ def _reduced_blocks(graph: MultiGraph, even_edges: EdgeSubset) -> _ReducedBlocks
         Chain1._of(graph, frozenset(kept[j] for j in c.edges))
         for c in homology_basis(reduced).cycles
     )
-    cocycle_edges = [gamma.edges for gamma in homology_basis(graph).cocycles]
+    cocycles = homology_basis(graph).cocycles
+    cocycle_edges = [gamma.edges for gamma in cocycles]
     pushed_edges = [alpha.edges for alpha in pushed]
     pairing = _pairing_rows(cocycle_edges, pushed_edges)
     transposed = _pairing_rows(pushed_edges, cocycle_edges)
-    return _ReducedBlocks(reduced, pushed, pairing, transposed)
+    return _ReducedBlocks(reduced, cocycles, pushed, pairing, transposed)
+
+
+def _two_torsion_order(arithmetic_genus: int, graph_genus: int, reduced_genus: int) -> int:
+    """Size of the 2-torsion of the Picard group from the three genera.
+
+    Exponent: twice the arithmetic genus, minus the graph genus, plus the
+    reduced graph genus.
+    """
+    return 2 ** (2 * arithmetic_genus - graph_genus + reduced_genus)
+
+
+def _weil_form(blocks: _ReducedBlocks, vertex_genus: tuple[int, ...]) -> "WeilFormModel":
+    """The Weil form of the models with these reduced-graph blocks and these
+    vertex genera; see ``TwistedCurveModel.weil_form``."""
+    pairing = blocks.pairing
+    h_dim = len(pairing)
+    q_dim = len(blocks.pushed)
+    comp_dim = 2 * sum(vertex_genus)
+    q_off = h_dim + comp_dim
+    rows = [bits << q_off for bits in pairing]
+    off = h_dim
+    for gv in vertex_genus:
+        # one symplectic block: row k pairs with row gv + k; plain loops,
+        # since most genera are 0 and a comprehension costs a call
+        for k in range(gv):
+            rows.append(1 << (off + gv + k))
+        for k in range(gv):
+            rows.append(1 << (off + k))
+        off += 2 * gv
+    rows += blocks.transposed
+    return WeilFormModel(
+        gram=GF2Matrix._of(rows, q_off + q_dim),
+        h_dim=h_dim,
+        component_dim=comp_dim,
+        q_dim=q_dim,
+        cocycles=blocks.cocycles,
+        reduced_cycles=blocks.pushed,
+    )
 
 
 @dataclass(frozen=True)
@@ -97,6 +140,18 @@ class TwistedCurveModel:
             raise ValueError("vertex genera must be non-negative")
         if any(s < 1 for s in self.edge_order):
             raise ValueError("stabilizer orders must be positive")
+
+    @classmethod
+    def _of(
+        cls, graph: MultiGraph, vertex_genus: tuple[int, ...], edge_order: tuple[int, ...]
+    ) -> "TwistedCurveModel":
+        """A model on trusted data: int tuples, one non-negative genus per
+        vertex and one positive order per edge."""
+        model = object.__new__(cls)
+        object.__setattr__(model, "graph", graph)
+        object.__setattr__(model, "vertex_genus", vertex_genus)
+        object.__setattr__(model, "edge_order", edge_order)
+        return model
 
     # -- genus bookkeeping ---------------------------------------------------
 
@@ -123,14 +178,13 @@ class TwistedCurveModel:
         return self.reduced_graph().genus()
 
     def two_torsion_order(self) -> int:
-        """Size of the 2-torsion of the Picard group.
-
-        Exponent: twice the arithmetic genus, minus the graph genus, plus
-        the reduced graph genus.  Equals ``2 ** (2 g)`` exactly when every
-        non-separating edge has even order.
+        """Size of the 2-torsion of the Picard group, ``_two_torsion_order``
+        of the model's three genera.  Equals ``2 ** (2 g)`` exactly when
+        every non-separating edge has even order.
         """
-        g = self.arithmetic_genus()
-        return 2 ** (2 * g - self.graph_genus() + self.reduced_genus())
+        return _two_torsion_order(
+            self.arithmetic_genus(), self.graph_genus(), self.reduced_genus()
+        )
 
     def is_nondegenerate(self) -> bool:
         """Even stabilizer order on every non-separating edge."""
@@ -146,28 +200,7 @@ class TwistedCurveModel:
         h x q corner is the graph pairing of the cohomology basis against
         the reduced graph's cycle basis pushed into the parent graph.
         """
-        blocks = self._blocks()
-        pairing = blocks.pairing
-        h_dim = len(pairing)
-        q_dim = len(blocks.pushed)
-        comp_dim = 2 * sum(self.vertex_genus)
-        q_off = h_dim + comp_dim
-        rows = [bits << q_off for bits in pairing]
-        off = h_dim
-        for gv in self.vertex_genus:
-            # one symplectic block: row k pairs with row gv + k
-            rows += [1 << (off + gv + k) for k in range(gv)]
-            rows += [1 << (off + k) for k in range(gv)]
-            off += 2 * gv
-        rows += blocks.transposed
-        return WeilFormModel(
-            gram=GF2Matrix._of(rows, q_off + q_dim),
-            h_dim=h_dim,
-            component_dim=comp_dim,
-            q_dim=q_dim,
-            cocycles=homology_basis(self.graph).cocycles,
-            reduced_cycles=blocks.pushed,
-        )
+        return _weil_form(self._blocks(), self.vertex_genus)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,17 @@ once per instance.  Per graph: the simple cycles (validated once by
 ``cover._lift_cycle`` and ``homology._parity``), each cycle's lifted edge
 list and length (``cover._lifted_edges``, the same for every cover of the
 graph), the echelon basis of the coboundary image that ``_is_coboundary``
-reduces against, and, in the model sweep, the reduced-graph blocks of each
-set of even edges (``curvemodel``'s cache, keyed on the graph and that set).
-Per instance: one double cover and its connectivity, one reduction of the
-cochain's bit row (its index in ``all_cochains``) against the coboundary
-basis, one lift and one parity per simple cycle, and one Weil form with all
-of its checks per model.
+reduces against, and, in the model sweep, the non-separating edges, the
+genus and the vertex genus tuples.  Per graph and set of even edges, in the
+model sweep: the set, its reduced-graph blocks (``curvemodel``'s cache,
+keyed on the graph and that set) and the reduced genus.  Per instance: one
+double cover and its connectivity, one reduction of the cochain's bit row
+(its index in ``all_cochains``) against the coboundary basis, one lift and
+one parity per simple cycle; and per model, a model built unchecked by
+``TwistedCurveModel._of`` (the sweep's genera and orders are valid by
+construction), its own Gram and order from ``curvemodel._weil_form`` and
+``_two_torsion_order`` (the functions the model's public methods call),
+and all five checks of ``_model_problems``.
 
 The model sweep's cover check pairs the cocycles of each all-even model
 with its fundamental cycles (one non-forest edge closed by a forest path),
@@ -47,7 +52,13 @@ from .cover import (
     lift_shape_ok,
     pairing_via_cover,
 )
-from .curvemodel import TwistedCurveModel
+from .curvemodel import (
+    TwistedCurveModel,
+    WeilFormModel,
+    _reduced_blocks,
+    _two_torsion_order,
+    _weil_form,
+)
 from .graphs import MultiGraph
 from .homology import (
     Chain1,
@@ -252,17 +263,48 @@ def pairing_equivalence_sweep(max_edges: int = 6, inject_fault: bool = False) ->
     return res
 
 
+def _model_problems(
+    model: TwistedCurveModel, form: WeilFormModel, order: int, full_size: bool
+) -> list[str]:
+    """The kinds of the checks that fail on one model with Weil form ``form``
+    and 2-torsion order ``order``; ``full_size`` says whether every
+    non-separating edge is even.
+
+    The order exponent must be the form dimension (``order-vs-dimension``);
+    the order must be ``2 ** (2 g)``, ``g`` read from the model, and the Gram
+    invertible, exactly when ``full_size`` (``full-size-criterion``,
+    ``invertibility-criterion``); the Gram must be alternating
+    (``alternating``) and its h block isotropic and orthogonal to the
+    component block (``h-isotropy``).
+    """
+    problems = []
+    if order != 2 ** form.total_dim:
+        problems.append("order-vs-dimension")
+    if (order == 2 ** (2 * model.arithmetic_genus())) != full_size:
+        problems.append("full-size-criterion")
+    if form.gram.is_invertible() != full_size:
+        problems.append("invertibility-criterion")
+    if not form.is_alternating():
+        problems.append("alternating")
+    h, c = form.h_dim, form.component_dim
+    if not form.gram.block_is_zero(range(h), range(h + c)):
+        problems.append("h-isotropy")
+    return problems
+
+
 def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
     """Torsion counts and Weil form over all small models.
 
     Enumerates every connected graph up to the bound, every stabilizer
-    parity pattern, every genus-0/1 assignment.  Checks, per instance: the
-    two-torsion order exponent against the assembled form dimension, the
-    full-size criterion (order equals 2^(2g) exactly when all
-    non-separating edges are even), invertibility of the Gram against the
-    same criterion, the Gram being alternating, the h block isotropic and
-    orthogonal to the component block, and, on all-even genus-free models,
-    the h x q Gram entries against the cover pairing of fundamental cycles.
+    parity pattern, every genus-0/1 assignment, and runs ``_model_problems``
+    on each model; on all-even genus-free models it also checks the h x q
+    Gram entries against the cover pairing of fundamental cycles.
+
+    Per graph: its non-separating edges, its genus and the genus tuples.
+    Per (graph, even-edge set): the set, its reduced-graph blocks and the
+    reduced genus, an Euler count of the reduced graph.  Per model: a model
+    built unchecked, its own Gram (``curvemodel._weil_form``), its order
+    (``_two_torsion_order``) and all of its checks.
     """
     res = SweepResult("torsion-order-and-form")
     fault = inject_fault
@@ -270,33 +312,28 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
         m = graph.edge_count
         n = graph.vertex_count
         nonsep = graph.non_separating_edges()
+        graph_genus = graph.genus()
+        all_genera = [
+            tuple(genera_mask >> v & 1 for v in range(n)) for genera_mask in range(1 << n)
+        ]
         for parity_mask in range(1 << m):
             orders = tuple(2 if parity_mask >> e & 1 else 1 for e in range(m))
-            all_even_nonsep = all(orders[e] % 2 == 0 for e in nonsep)
-            for genera_mask in range(1 << n):
-                genera = tuple(genera_mask >> v & 1 for v in range(n))
-                model = TwistedCurveModel(graph, genera, orders)
+            even = frozenset(e for e in range(m) if parity_mask >> e & 1)
+            blocks = _reduced_blocks(graph, even)
+            reduced_genus = blocks.reduced.genus()
+            full_size = nonsep <= even
+            for genera in all_genera:
+                model = TwistedCurveModel._of(graph, genera, orders)
                 res.instances += 1
-                form = model.weil_form()
+                form = _weil_form(blocks, genera)
                 if fault and form.total_dim > 0:
                     flipped = form.gram.tolist()
                     flipped[0][form.total_dim - 1] ^= 1
                     form = replace(form, gram=GF2Matrix(flipped))
                     fault = False
-                order = model.two_torsion_order()
-                g = model.arithmetic_genus()
-                problems = []
-                if order != 2 ** form.total_dim:
-                    problems.append("order-vs-dimension")
-                if (order == 2 ** (2 * g)) != all_even_nonsep:
-                    problems.append("full-size-criterion")
-                if form.gram.is_invertible() != all_even_nonsep:
-                    problems.append("invertibility-criterion")
-                if not form.is_alternating():
-                    problems.append("alternating")
-                h, c = form.h_dim, form.component_dim
-                if not form.gram.block_is_zero(range(h), range(h + c)):
-                    problems.append("h-isotropy")
+                arithmetic_genus = graph_genus + sum(genera)
+                order = _two_torsion_order(arithmetic_genus, graph_genus, reduced_genus)
+                problems = _model_problems(model, form, order, full_size)
                 if problems:
                     res.record(
                         kind=",".join(problems),
@@ -306,8 +343,7 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
                     )
             # cover consistency once per graph, on the all-even genus-free model
             if parity_mask == (1 << m) - 1:
-                model = TwistedCurveModel(graph, (0,) * n, orders)
-                form = model.weil_form()
+                form = _weil_form(blocks, (0,) * n)
                 h, c = form.h_dim, form.component_dim
                 for i, gamma in enumerate(form.cocycles):
                     for j, alpha in enumerate(form.reduced_cycles):

@@ -20,7 +20,7 @@ from weilgraph import (
     model_sweep,
     theta_graph,
 )
-from weilgraph import cli, curvemodel, homology
+from weilgraph import cli, curvemodel, homology, sweeps
 
 POINT = MultiGraph(1, ())
 
@@ -229,7 +229,8 @@ def test_reduced_blocks_are_per_graph():
 def test_gf2_caches_miss_as_if_unbounded(monkeypatch):
     # the model sweep reuses a basis only among neighbouring graphs and a
     # reduced block only within one even-edge set, so the bounds on both
-    # caches cost no misses; homology_basis is bound by name in three modules
+    # caches cost no misses; homology_basis is bound by name in three
+    # modules and _reduced_blocks in two
     def misses():
         homology.homology_basis.cache_clear()
         curvemodel._reduced_blocks.cache_clear()
@@ -244,5 +245,6 @@ def test_gf2_caches_miss_as_if_unbounded(monkeypatch):
     for module in (homology, curvemodel, cli):
         monkeypatch.setattr(module, "homology_basis", basis)
     blocks = lru_cache(maxsize=None)(curvemodel._reduced_blocks.__wrapped__)
-    monkeypatch.setattr(curvemodel, "_reduced_blocks", blocks)
+    for module in (curvemodel, sweeps):
+        monkeypatch.setattr(module, "_reduced_blocks", blocks)
     assert misses() == bounded

@@ -157,6 +157,53 @@ def test_routes_stay_independent():
     for name in walks:
         assert _names(graph_defs[name]) & forest_names == set(), name
 
+    # the torsion order never reads the cycle basis that sizes the q block,
+    # nor the form's dimension: the reduced genus is the reduced graph's Euler
+    # count, so the model sweep compares two independent counts.  In
+    # curvemodel that holds for the methods on the order's path, and in the
+    # model sweep for the assignments of the names it passes to the order.
+    basis_names = {"pushed", "homology_basis", "reduced_cycles", "q_dim", "total_dim"}
+    curve_defs = {
+        node.name: node
+        for node in ast.walk(_tree(SRC / "weilgraph" / "curvemodel.py"))
+        if isinstance(node, ast.FunctionDef)
+    }
+    order_path = (
+        "_two_torsion_order",
+        "two_torsion_order",
+        "arithmetic_genus",
+        "graph_genus",
+        "reduced_genus",
+        "reduced_graph",
+    )
+    for name in order_path:
+        assert _names(curve_defs[name]) & basis_names == set(), name
+    sweeps_tree = _tree(SRC / "weilgraph" / "sweeps.py")
+    (sweep,) = [
+        node
+        for node in sweeps_tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "model_sweep"
+    ]
+    (order_call,) = [
+        node
+        for node in ast.walk(sweep)
+        if isinstance(node, ast.Call) and _names(node.func) == {"_two_torsion_order"}
+    ]
+    order_inputs = set().union(*map(_names, order_call.args))
+    assigned = [
+        node
+        for node in ast.walk(sweep)
+        if isinstance(node, ast.Assign)
+        and {t.id for t in node.targets if isinstance(t, ast.Name)} & order_inputs
+    ]
+    assert len(assigned) == 3
+    for node in assigned:
+        assert _names(node.value) & basis_names == set(), ast.unparse(node)
+
+    # the sweeps read no blocks of the Gram: it is assembled only in curvemodel
+    attributes = {n.attr for n in ast.walk(sweeps_tree) if isinstance(n, ast.Attribute)}
+    assert attributes & {"pairing", "transposed"} == set()
+
     # the solvers of the tests' oracle module, which acceptance test 6 and
     # the burning and shift properties read, call no package code but the
     # Laplacian: no Smith form and no burning.  Only the graph generator and

@@ -1,6 +1,7 @@
 """The exhaustive sweeps and the enumerator that feeds them."""
 
 import gc
+from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
@@ -11,6 +12,7 @@ from weilgraph import (
     GF2Matrix,
     MultiGraph,
     SweepResult,
+    TwistedCurveModel,
     all_cochains,
     all_simple_cycles,
     bouquet_graph,
@@ -171,9 +173,86 @@ def test_pairing_equivalence_sweep_small():
 
 
 def test_model_sweep_small():
+    # models plus the h x q cover checks of each graph's all-even model
+    for k, instances in enumerate((15, 142, 1738, 25230), start=1):
+        res = model_sweep(k)
+        assert res.ok, res.failures
+        assert res.instances == instances
+    faulted = model_sweep(3, inject_fault=True)
+    assert faulted.instances == 1738
+    assert faulted.failure_count == 1
+    assert [f["kind"] for f in faulted.failures] == ["invertibility-criterion,alternating"]
+
+
+def _with_entries(form, *entries):
+    rows = form.gram.tolist()
+    for i, j in entries:
+        rows[i][j] ^= 1
+    return replace(form, gram=GF2Matrix(rows))
+
+
+# one wrong value each, as keyword arguments for the check
+WRONG_MODEL_VALUES = {
+    # the form's dimension, one too large: the Gram is untouched
+    "order-vs-dimension": lambda model, form: {"form": replace(form, q_dim=form.q_dim + 1)},
+    # a model of smaller genus than the one whose order and form are given
+    "full-size-criterion": lambda model, form: {"model": replace(model, vertex_genus=(0, 0))},
+    # the zero Gram is alternating and isotropic, and singular
+    "invertibility-criterion": lambda model, form: {
+        "form": replace(form, gram=GF2Matrix([[0] * 6] * 6))
+    },
+    # a diagonal entry in the component block keeps the Gram invertible
+    "alternating": lambda model, form: {"form": _with_entries(form, (2, 2))},
+    # an h class pairing with a component class, symmetrically
+    "h-isotropy": lambda model, form: {"form": _with_entries(form, (0, 2), (2, 0))},
+}
+
+
+@pytest.mark.parametrize("kind", WRONG_MODEL_VALUES)
+def test_model_check_fires_on_its_kind_alone(kind):
+    model = TwistedCurveModel(theta_graph(), (1, 0), (2, 2, 2))
+    form, order = model.weil_form(), model.two_torsion_order()
+    assert (form.h_dim, form.component_dim, form.q_dim) == (2, 2, 2)
+    args = {"model": model, "form": form, "order": order, "full_size": True}
+    assert sweeps._model_problems(**args) == []
+    args.update(WRONG_MODEL_VALUES[kind](model, form))
+    assert sweeps._model_problems(**args) == [kind]
+
+
+def test_model_sweep_catches_a_wrong_cover_pairing(monkeypatch):
+    pairing_via_cover = sweeps.pairing_via_cover
+    monkeypatch.setattr(
+        sweeps, "pairing_via_cover", lambda gamma, alpha: 1 - pairing_via_cover(gamma, alpha)
+    )
     res = model_sweep(3)
-    assert res.ok
-    assert res.instances > 0
+    # every h x q entry of every all-even genus-free model: genus squared
+    assert res.failure_count == sum(g.genus() ** 2 for g in connected_multigraphs(3)) > 0
+    assert {f["kind"] for f in res.failures} == {"cover-consistency"}
+
+
+def test_model_sweep_checks_what_the_validated_model_computes(monkeypatch):
+    # the sweep's hoisted order, its Gram and its unchecked models against
+    # the public, validating constructor and methods
+    seen = []
+    check = sweeps._model_problems
+
+    def capture(model, form, order, full_size):
+        seen.append((model, form, order, full_size))
+        return check(model, form, order, full_size)
+
+    monkeypatch.setattr(sweeps, "_model_problems", capture)
+    assert model_sweep(3).ok
+    models = sum(2 ** (g.edge_count + g.vertex_count) for g in connected_multigraphs(3))
+    assert len(seen) == models
+    keys = set()
+    for model, form, order, full_size in seen:
+        validated = TwistedCurveModel(model.graph, model.vertex_genus, model.edge_order)
+        assert model == validated
+        assert form == validated.weil_form()
+        assert order == validated.two_torsion_order()
+        assert full_size == validated.is_nondegenerate()
+        keys.add((model.graph.edges, model.vertex_genus, model.edge_order))
+    assert len(keys) == len(seen)
 
 
 def test_torsion_sweep_small():
