@@ -11,7 +11,12 @@ Subcommands:
 Input graphs and models are JSON documents (see ``documents``).  Exit
 codes: 0 success, 2 malformed document or usage, 3 violated
 precondition (e.g. a chain that is not a simple cycle), 4 a
-verification check found a counterexample.
+verification check found a counterexample.  Besides ``verify`` and
+``tropical``, ``cover --alpha`` and ``torsion`` run the checks of the
+sweeps on their one instance (``sweeps._pairing_problems`` and
+``sweeps._model_problems``); when any fails they still print their report,
+write the failed kinds to stderr on one line, ``counterexample: <kinds>``,
+and exit 4.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from .graphs import MultiGraph
 from .homology import Chain1, Cochain1, graph_pairing, homology_basis, is_perfect_pairing
 from .sandpile import verify_torsion_on_subdivision
 from .sweeps import (
+    _model_problems,
+    _pairing_problems,
     model_sweep,
     pairing_equivalence_sweep,
     perfect_pairing_sweep,
@@ -111,6 +118,15 @@ def _emit(report: Report, human_lines: list[str], as_json: bool) -> None:
             print(line)
 
 
+def _verdict(problems: list[str]) -> int:
+    """Exit 0 when no check failed; otherwise write the failed kinds to
+    stderr on one line and exit 4."""
+    if not problems:
+        return EXIT_OK
+    print(f"counterexample: {','.join(problems)}", file=sys.stderr)
+    return EXIT_COUNTEREXAMPLE
+
+
 def cmd_homology(args) -> int:
     doc = _read_document(args.graph)
     graph = doc.graph()
@@ -166,13 +182,14 @@ def cmd_cover(args) -> int:
         f"cover is connected: {'yes' if payload['connected'] else 'no'}",
     ]
 
-    exit_code = EXIT_OK
+    problems = []
     if args.alpha is not None:
         alpha = Chain1._of(graph, _parse_edge_list(args.alpha, graph, "--alpha"))
         components = lift_cycle(cover, alpha)
         bit_cover = 1 if len(components) == 1 else 0
         bit_algebraic = graph_pairing(gamma, alpha)
-        agree = bit_cover == bit_algebraic
+        problems = _pairing_problems(bit_cover, bit_algebraic, components, len(alpha.edges))
+        agree = "pairing" not in problems
         payload.update(
             {
                 "alpha": sorted(alpha.edges),
@@ -195,8 +212,6 @@ def cmd_cover(args) -> int:
             f"pairing via intersection: {bit_algebraic}",
             f"agreement: {'yes' if agree else 'NO'}",
         ]
-        if not agree:
-            exit_code = EXIT_COUNTEREXAMPLE
 
     if args.dot is not None:
         dot = cover_to_dot(cover)
@@ -211,7 +226,7 @@ def cmd_cover(args) -> int:
             lines.append(f"wrote {args.dot}")
 
     _emit(Report("cover", doc.digest(), payload), lines, args.json)
-    return exit_code
+    return _verdict(problems)
 
 
 def cmd_torsion(args) -> int:
@@ -223,13 +238,16 @@ def cmd_torsion(args) -> int:
             f"2 x genus + 2 x sum of genera is {bound}, over {MAX_FORM_DIMENSION}"
         )
     form = model.weil_form()
+    genus = model.arithmetic_genus()
+    order = model.two_torsion_order()
+    nondegenerate = model.is_nondegenerate()
 
     payload = {
-        "arithmetic_genus": model.arithmetic_genus(),
+        "arithmetic_genus": genus,
         "graph_genus": model.graph_genus(),
         "reduced_genus": model.reduced_genus(),
-        "two_torsion_order": model.two_torsion_order(),
-        "nondegenerate": model.is_nondegenerate(),
+        "two_torsion_order": order,
+        "nondegenerate": nondegenerate,
         "form_dimension": form.total_dim,
         "block_dimensions": [form.h_dim, form.component_dim, form.q_dim],
         "gram": form.gram.tolist(),
@@ -250,7 +268,7 @@ def cmd_torsion(args) -> int:
         f"invertible: {'yes' if payload['invertible'] else 'no'}",
     ]
     _emit(Report("torsion", doc.digest(), payload), lines, args.json)
-    return EXIT_OK
+    return _verdict(_model_problems(genus, form, order, nondegenerate))
 
 
 def _check_subdivision(r: int, edges: int) -> None:

@@ -29,10 +29,11 @@ next.  Per model there remains only the genus bookkeeping,
 ``_two_torsion_order``, and the assembly of the Gram rows around those
 blocks, ``_weil_form``.  The methods of ``TwistedCurveModel`` call these
 two with the model's own blocks; a sweep that holds the blocks of one
-even-edge set calls them directly for every model that shares it.  The
-reduced genus counts edges, vertices and components of the reduced graph
-rather than the cycle basis that sizes the q block, so the torsion order
-and the form dimension stay two independent counts.
+even-edge set calls them directly for every decoration that shares it,
+and builds no model.  The reduced genus counts edges, vertices and
+components of the reduced graph rather than the cycle basis that sizes the
+q block, so the torsion order and the form dimension stay two independent
+counts.
 """
 
 from __future__ import annotations
@@ -140,18 +141,6 @@ class TwistedCurveModel:
             raise ValueError("vertex genera must be non-negative")
         if any(s < 1 for s in self.edge_order):
             raise ValueError("stabilizer orders must be positive")
-
-    @classmethod
-    def _of(
-        cls, graph: MultiGraph, vertex_genus: tuple[int, ...], edge_order: tuple[int, ...]
-    ) -> "TwistedCurveModel":
-        """A model on trusted data: int tuples, one non-negative genus per
-        vertex and one positive order per edge."""
-        model = object.__new__(cls)
-        object.__setattr__(model, "graph", graph)
-        object.__setattr__(model, "vertex_genus", vertex_genus)
-        object.__setattr__(model, "edge_order", edge_order)
-        return model
 
     # -- genus bookkeeping ---------------------------------------------------
 

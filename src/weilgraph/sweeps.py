@@ -16,6 +16,13 @@ print them and exit nonzero.  ``inject_fault=True`` deliberately corrupts
 the first comparison of a sweep; it exists so the harness can demonstrate
 that it would actually catch a wrong answer.
 
+Each instance family has one check function, which returns the kinds of
+the checks that fail on one instance: ``_pairing_problems`` (a cover bit
+against the algebraic bit, and the lift's shape), ``_model_problems`` (a
+decoration's order and Weil form) and ``_torsion_problems`` (a subdivision
+torsion report).  The sweeps call them, and so do the single-instance
+commands of ``cli``, so a check is written once.
+
 Facts about a graph are derived once per graph, and every check still runs
 once per instance.  Per graph: the simple cycles (validated once by
 ``all_simple_cycles``, then lifted and paired through the unchecked cores
@@ -28,10 +35,9 @@ model sweep: the set, its reduced-graph blocks (``curvemodel``'s cache,
 keyed on the graph and that set) and the reduced genus.  Per instance: one
 double cover and its connectivity, one reduction of the cochain's bit row
 (its index in ``all_cochains``) against the coboundary basis, one lift and
-one parity per simple cycle; and per model, a model built unchecked by
-``TwistedCurveModel._of`` (the sweep's genera and orders are valid by
-construction), its own Gram and order from ``curvemodel._weil_form`` and
-``_two_torsion_order`` (the functions the model's public methods call),
+one parity per simple cycle; and per decoration, no model object but its
+arithmetic genus, its own Gram and order from ``curvemodel._weil_form``
+and ``_two_torsion_order`` (the functions the model's public methods call),
 and all five checks of ``_model_problems``.
 
 The model sweep's cover check pairs the cocycles of each all-even model
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .cover import (
     _lift_cycle,
@@ -53,7 +59,6 @@ from .cover import (
     pairing_via_cover,
 )
 from .curvemodel import (
-    TwistedCurveModel,
     WeilFormModel,
     _reduced_blocks,
     _two_torsion_order,
@@ -64,11 +69,16 @@ from .homology import (
     Chain1,
     Cochain1,
     _parity,
-    is_perfect_pairing,
     is_simple_cycle,
+    pairing_gram,
 )
 from .linalg import GF2Matrix, _echelon, _reduce
-from .sandpile import Divisor, divisors_equivalent, verify_torsion_on_subdivision
+from .sandpile import (
+    Divisor,
+    TorsionReport,
+    divisors_equivalent,
+    verify_torsion_on_subdivision,
+)
 
 __all__ = [
     "SweepResult",
@@ -211,11 +221,28 @@ def perfect_pairing_sweep(max_edges: int = 6) -> SweepResult:
     res = SweepResult("perfect-pairing")
     for graph in connected_multigraphs(max_edges):
         res.instances += 1
-        ok, gram = is_perfect_pairing(graph)
         genus = graph.genus()
-        if not ok or gram != GF2Matrix.identity(genus):
+        if pairing_gram(graph) != GF2Matrix.identity(genus):
             res.record(kind="gram", graph=graph.edges, genus=genus)
     return res
+
+
+def _pairing_problems(
+    cover_bit: int, algebraic_bit: int, components: Sequence[Collection[int]], length: int
+) -> list[str]:
+    """The kinds of the checks that fail on one lift of a simple cycle of
+    length ``length``: its ``components`` and the cover bit read off them,
+    against the algebraic bit.
+
+    The two bits must agree (``pairing``), and the components must be one
+    cycle of twice the length or two of the length (``lift-shape``).
+    """
+    problems = []
+    if cover_bit != algebraic_bit:
+        problems.append("pairing")
+    if not lift_shape_ok(components, length):
+        problems.append("lift-shape")
+    return problems
 
 
 def pairing_equivalence_sweep(max_edges: int = 6, inject_fault: bool = False) -> SweepResult:
@@ -250,9 +277,10 @@ def pairing_equivalence_sweep(max_edges: int = 6, inject_fault: bool = False) ->
                     bit_cover ^= 1
                     fault = False
                 bit_algebraic = _parity(gamma.edges, alpha.edges)
-                if bit_cover != bit_algebraic or not lift_shape_ok(comps, length):
+                problems = _pairing_problems(bit_cover, bit_algebraic, comps, length)
+                if problems:
                     res.record(
-                        kind="pairing",
+                        kind=",".join(problems),
                         graph=graph.edges,
                         gamma=sorted(gamma.edges),
                         alpha=sorted(alpha.edges),
@@ -264,14 +292,14 @@ def pairing_equivalence_sweep(max_edges: int = 6, inject_fault: bool = False) ->
 
 
 def _model_problems(
-    model: TwistedCurveModel, form: WeilFormModel, order: int, full_size: bool
+    arithmetic_genus: int, form: WeilFormModel, order: int, full_size: bool
 ) -> list[str]:
-    """The kinds of the checks that fail on one model with Weil form ``form``
-    and 2-torsion order ``order``; ``full_size`` says whether every
-    non-separating edge is even.
+    """The kinds of the checks that fail on one model of arithmetic genus
+    ``arithmetic_genus`` with Weil form ``form`` and 2-torsion order
+    ``order``; ``full_size`` says whether every non-separating edge is even.
 
     The order exponent must be the form dimension (``order-vs-dimension``);
-    the order must be ``2 ** (2 g)``, ``g`` read from the model, and the Gram
+    the order must be ``2 ** (2 g)``, ``g`` the arithmetic genus, and the Gram
     invertible, exactly when ``full_size`` (``full-size-criterion``,
     ``invertibility-criterion``); the Gram must be alternating
     (``alternating``) and its h block isotropic and orthogonal to the
@@ -280,7 +308,7 @@ def _model_problems(
     problems = []
     if order != 2 ** form.total_dim:
         problems.append("order-vs-dimension")
-    if (order == 2 ** (2 * model.arithmetic_genus())) != full_size:
+    if (order == 2 ** (2 * arithmetic_genus)) != full_size:
         problems.append("full-size-criterion")
     if form.gram.is_invertible() != full_size:
         problems.append("invertibility-criterion")
@@ -302,9 +330,10 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
 
     Per graph: its non-separating edges, its genus and the genus tuples.
     Per (graph, even-edge set): the set, its reduced-graph blocks and the
-    reduced genus, an Euler count of the reduced graph.  Per model: a model
-    built unchecked, its own Gram (``curvemodel._weil_form``), its order
-    (``_two_torsion_order``) and all of its checks.
+    reduced genus, an Euler count of the reduced graph.  Per model, with no
+    model object: its arithmetic genus, its own Gram
+    (``curvemodel._weil_form``), its order (``_two_torsion_order``) and all
+    of its checks.
     """
     res = SweepResult("torsion-order-and-form")
     fault = inject_fault
@@ -323,7 +352,6 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
             reduced_genus = blocks.reduced.genus()
             full_size = nonsep <= even
             for genera in all_genera:
-                model = TwistedCurveModel._of(graph, genera, orders)
                 res.instances += 1
                 form = _weil_form(blocks, genera)
                 if fault and form.total_dim > 0:
@@ -333,7 +361,7 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
                     fault = False
                 arithmetic_genus = graph_genus + sum(genera)
                 order = _two_torsion_order(arithmetic_genus, graph_genus, reduced_genus)
-                problems = _model_problems(model, form, order, full_size)
+                problems = _model_problems(arithmetic_genus, form, order, full_size)
                 if problems:
                     res.record(
                         kind=",".join(problems),
@@ -359,20 +387,39 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
     return res
 
 
+def _torsion_problems(report: TorsionReport, r: int) -> list[str]:
+    """The kinds of the checks that fail on one r-subdivision's torsion report.
+
+    The realized torsion count must be ``report.expected``, r to the graph
+    genus (``count``); every generator must have degree zero
+    (``generator-degree``), and r times each generator must reduce to zero
+    (``generator-order``; checked by burning, not by the Smith form that
+    produced the generator).  The first generator that fails ends the
+    generator checks.  A generator on another graph than the child is no
+    counterexample: ``divisors_equivalent`` raises.
+    """
+    problems = []
+    if report.torsion_count != report.expected:
+        problems.append("count")
+    child = report.subdivision
+    for gen in report.generators:
+        if gen.degree() != 0:
+            problems.append("generator-degree")
+            break
+        if not divisors_equivalent(child, gen.scale(r), Divisor.zero(child)):
+            problems.append("generator-order")
+            break
+    return problems
+
+
 def torsion_sweep(
     max_edges: int = 6,
     rs: Sequence[int] = (2, 3, 4, 5),
     inject_fault: bool = False,
 ) -> SweepResult:
-    """Subdivision r-torsion on every small graph, both subdivision modes.
-
-    Per instance, each recorded under its kind: the realized torsion count
-    must be r to the graph genus (``count``), every generator must have
-    degree zero (``generator-degree``), and r times each generator must
-    reduce to zero (``generator-order``; checked by burning, not by the
-    Smith form that produced the generator).  A generator on another graph
-    than the child is no counterexample: ``divisors_equivalent`` raises.
-    """
+    """Subdivision r-torsion on every small graph, both subdivision modes:
+    ``_torsion_problems`` on each instance, its failures recorded under
+    their kinds."""
     if any(r < 1 for r in rs):
         raise ValueError("torsion indices must be positive")
     res = SweepResult("subdivision-r-torsion")
@@ -382,28 +429,17 @@ def torsion_sweep(
             for mode in ("all", "nonsep"):
                 res.instances += 1
                 report = verify_torsion_on_subdivision(graph, r, mode)
-                count = report.torsion_count
                 if fault:
-                    count += 1
+                    report = replace(report, torsion_count=report.torsion_count + 1)
                     fault = False
-                problems = []
-                if count != report.expected or not report.verdict:
-                    problems.append("count")
-                child = report.subdivision
-                for gen in report.generators:
-                    if gen.degree() != 0:
-                        problems.append("generator-degree")
-                        break
-                    if not divisors_equivalent(child, gen.scale(r), Divisor.zero(child)):
-                        problems.append("generator-order")
-                        break
+                problems = _torsion_problems(report, r)
                 if problems:
                     res.record(
                         kind=",".join(problems),
                         graph=graph.edges,
                         r=r,
                         mode=mode,
-                        count=count,
+                        count=report.torsion_count,
                         expected=report.expected,
                         factors=report.invariant_factors,
                     )

@@ -13,6 +13,8 @@ from weilgraph import (
     Divisor,
     InputDocument,
     Report,
+    TwistedCurveModel,
+    cli,
     dhar_reduce,
     verify_torsion_on_subdivision,
 )
@@ -146,6 +148,56 @@ def test_torsion_human(theta_model_file, capsys):
     out = capsys.readouterr().out
     assert "two-torsion order: 8" in out
     assert "weil form dimension: 3 = 2 + 0 + 1" in out
+
+
+def test_cover_and_torsion_pass_their_checks(theta_file, theta_model_file, capsys):
+    assert main(["cover", "--graph", theta_file, "--gamma", "0", "--alpha", "0,1"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["torsion", "--graph", theta_model_file]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cover_wrong_pairing_exits_4(theta_file, capsys, monkeypatch):
+    graph_pairing = cli.graph_pairing
+    monkeypatch.setattr(
+        cli, "graph_pairing", lambda gamma, alpha: 1 - graph_pairing(gamma, alpha)
+    )
+    argv = ["cover", "--graph", theta_file, "--gamma", "1", "--alpha", "0,1", "--json"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "counterexample: pairing\n"
+    payload = Report.from_json(captured.out.strip()).payload
+    assert (payload["pairing_cover"], payload["pairing_algebraic"]) == (1, 0)
+    assert payload["agree"] is False
+
+
+def test_cover_wrong_lift_shape_exits_4(theta_file, capsys, monkeypatch):
+    # the lift of the 2-cycle as one component, one edge short of its 4
+    lift_cycle = cli.lift_cycle
+    monkeypatch.setattr(
+        cli,
+        "lift_cycle",
+        lambda cover, alpha: (frozenset(sorted(lift_cycle(cover, alpha)[0])[1:]),),
+    )
+    argv = ["cover", "--graph", theta_file, "--gamma", "1", "--alpha", "0,1"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "counterexample: lift-shape\n"
+    assert "lift: one cycle of length 3" in captured.out
+    assert "agreement: yes" in captured.out
+
+
+def test_torsion_wrong_order_exits_4(theta_model_file, capsys, monkeypatch):
+    # 16 is not 2 to the form's dimension 3, and it is 2 to twice the
+    # genus 2 of a model with an odd non-separating edge
+    two_torsion_order = TwistedCurveModel.two_torsion_order
+    monkeypatch.setattr(
+        TwistedCurveModel, "two_torsion_order", lambda model: 2 * two_torsion_order(model)
+    )
+    assert main(["torsion", "--graph", theta_model_file, "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "counterexample: order-vs-dimension,full-size-criterion\n"
+    assert Report.from_json(captured.out.strip()).payload["two_torsion_order"] == 16
 
 
 def test_tropical(theta_file, capsys):

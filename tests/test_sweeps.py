@@ -9,6 +9,7 @@ import pytest
 from weilgraph import (
     Chain1,
     Cochain1,
+    Divisor,
     GF2Matrix,
     MultiGraph,
     SweepResult,
@@ -16,13 +17,16 @@ from weilgraph import (
     all_cochains,
     all_simple_cycles,
     bouquet_graph,
+    build_double_cover,
     connected_multigraphs,
     is_simple_cycle,
+    lift_cycle,
     model_sweep,
     pairing_equivalence_sweep,
     perfect_pairing_sweep,
     theta_graph,
     torsion_sweep,
+    verify_torsion_on_subdivision,
 )
 from weilgraph import sweeps
 from weilgraph.sweeps import _MAX_RECORDED, _coboundary_basis, _is_coboundary
@@ -166,10 +170,63 @@ def test_perfect_pairing_sweep_small():
     assert res.instances == 135
 
 
+def test_perfect_pairing_sweep_catches_a_wrong_gram(monkeypatch):
+    # the identity Gram with its first entry flipped, on every graph of
+    # positive genus
+    def flipped(graph):
+        rows = GF2Matrix.identity(graph.genus()).tolist()
+        if rows:
+            rows[0][0] ^= 1
+        return GF2Matrix(rows, cols=graph.genus())
+
+    monkeypatch.setattr(sweeps, "pairing_gram", flipped)
+    res = perfect_pairing_sweep(3)
+    assert res.failure_count == sum(g.genus() > 0 for g in connected_multigraphs(3)) > 0
+    assert {f["kind"] for f in res.failures} == {"gram"}
+
+
 def test_pairing_equivalence_sweep_small():
     res = pairing_equivalence_sweep(3)
     assert res.ok
     assert res.instances > 0
+
+
+def test_pairing_equivalence_sweep_catches_a_wrong_connectivity(monkeypatch):
+    # every cochain of every graph, each recorded once under its one kind
+    is_coboundary = sweeps._is_coboundary
+    monkeypatch.setattr(
+        sweeps, "_is_coboundary", lambda basis, bits: not is_coboundary(basis, bits)
+    )
+    res = pairing_equivalence_sweep(3)
+    assert res.failure_count == sum(2**g.edge_count for g in connected_multigraphs(3)) > 0
+    assert {f["kind"] for f in res.failures} == {"connectivity"}
+
+
+def _theta_lift():
+    # theta's 2-cycle {0, 1} through the cover of gamma = {1}: one 4-cycle
+    graph = theta_graph()
+    gamma = Cochain1(graph, frozenset({1}))
+    alpha = Chain1(graph, frozenset({0, 1}))
+    return lift_cycle(build_double_cover(gamma), alpha)
+
+
+# one wrong value each, as keyword arguments for the check
+WRONG_PAIRING_VALUES = {
+    # the cover bit disagrees with the algebraic one; the lift is untouched
+    "pairing": lambda components: {"cover_bit": 0},
+    # the one component of the lift, one edge short
+    "lift-shape": lambda components: {"components": (sorted(components[0])[1:],)},
+}
+
+
+@pytest.mark.parametrize("kind", WRONG_PAIRING_VALUES)
+def test_pairing_check_fires_on_its_kind_alone(kind):
+    components = _theta_lift()
+    assert [len(c) for c in components] == [4]
+    args = {"cover_bit": 1, "algebraic_bit": 1, "components": components, "length": 2}
+    assert sweeps._pairing_problems(**args) == []
+    args.update(WRONG_PAIRING_VALUES[kind](components))
+    assert sweeps._pairing_problems(**args) == [kind]
 
 
 def test_model_sweep_small():
@@ -194,28 +251,28 @@ def _with_entries(form, *entries):
 # one wrong value each, as keyword arguments for the check
 WRONG_MODEL_VALUES = {
     # the form's dimension, one too large: the Gram is untouched
-    "order-vs-dimension": lambda model, form: {"form": replace(form, q_dim=form.q_dim + 1)},
-    # a model of smaller genus than the one whose order and form are given
-    "full-size-criterion": lambda model, form: {"model": replace(model, vertex_genus=(0, 0))},
+    "order-vs-dimension": lambda genus, form: {"form": replace(form, q_dim=form.q_dim + 1)},
+    # a smaller genus than that of the model whose order and form are given
+    "full-size-criterion": lambda genus, form: {"arithmetic_genus": genus - 1},
     # the zero Gram is alternating and isotropic, and singular
-    "invertibility-criterion": lambda model, form: {
+    "invertibility-criterion": lambda genus, form: {
         "form": replace(form, gram=GF2Matrix([[0] * 6] * 6))
     },
     # a diagonal entry in the component block keeps the Gram invertible
-    "alternating": lambda model, form: {"form": _with_entries(form, (2, 2))},
+    "alternating": lambda genus, form: {"form": _with_entries(form, (2, 2))},
     # an h class pairing with a component class, symmetrically
-    "h-isotropy": lambda model, form: {"form": _with_entries(form, (0, 2), (2, 0))},
+    "h-isotropy": lambda genus, form: {"form": _with_entries(form, (0, 2), (2, 0))},
 }
 
 
 @pytest.mark.parametrize("kind", WRONG_MODEL_VALUES)
 def test_model_check_fires_on_its_kind_alone(kind):
     model = TwistedCurveModel(theta_graph(), (1, 0), (2, 2, 2))
-    form, order = model.weil_form(), model.two_torsion_order()
+    genus, form, order = model.arithmetic_genus(), model.weil_form(), model.two_torsion_order()
     assert (form.h_dim, form.component_dim, form.q_dim) == (2, 2, 2)
-    args = {"model": model, "form": form, "order": order, "full_size": True}
+    args = {"arithmetic_genus": genus, "form": form, "order": order, "full_size": True}
     assert sweeps._model_problems(**args) == []
-    args.update(WRONG_MODEL_VALUES[kind](model, form))
+    args.update(WRONG_MODEL_VALUES[kind](genus, form))
     assert sweeps._model_problems(**args) == [kind]
 
 
@@ -231,34 +288,75 @@ def test_model_sweep_catches_a_wrong_cover_pairing(monkeypatch):
 
 
 def test_model_sweep_checks_what_the_validated_model_computes(monkeypatch):
-    # the sweep's hoisted order, its Gram and its unchecked models against
-    # the public, validating constructor and methods
+    # the sweep's hoisted genus and order and its Gram, model by model in
+    # enumeration order, against the public, validating constructor and
+    # methods
     seen = []
     check = sweeps._model_problems
 
-    def capture(model, form, order, full_size):
-        seen.append((model, form, order, full_size))
-        return check(model, form, order, full_size)
+    def capture(arithmetic_genus, form, order, full_size):
+        seen.append((arithmetic_genus, form, order, full_size))
+        return check(arithmetic_genus, form, order, full_size)
 
     monkeypatch.setattr(sweeps, "_model_problems", capture)
     assert model_sweep(3).ok
-    models = sum(2 ** (g.edge_count + g.vertex_count) for g in connected_multigraphs(3))
-    assert len(seen) == models
-    keys = set()
-    for model, form, order, full_size in seen:
-        validated = TwistedCurveModel(model.graph, model.vertex_genus, model.edge_order)
-        assert model == validated
-        assert form == validated.weil_form()
-        assert order == validated.two_torsion_order()
-        assert full_size == validated.is_nondegenerate()
-        keys.add((model.graph.edges, model.vertex_genus, model.edge_order))
-    assert len(keys) == len(seen)
+    expected = []
+    for g in connected_multigraphs(3):
+        m, n = g.edge_count, g.vertex_count
+        for parity_mask in range(1 << m):
+            orders = tuple(2 if parity_mask >> e & 1 else 1 for e in range(m))
+            for genera_mask in range(1 << n):
+                genera = tuple(genera_mask >> v & 1 for v in range(n))
+                model = TwistedCurveModel(g, genera, orders)
+                expected.append(
+                    (
+                        model.arithmetic_genus(),
+                        model.weil_form(),
+                        model.two_torsion_order(),
+                        model.is_nondegenerate(),
+                    )
+                )
+    assert len(expected) == sum(
+        2 ** (g.edge_count + g.vertex_count) for g in connected_multigraphs(3)
+    )
+    assert seen == expected
 
 
 def test_torsion_sweep_small():
     res = torsion_sweep(3, rs=(2,))
     assert res.ok
     assert res.instances > 0
+
+
+def _plus(divisor, *chips):
+    # the divisor with ``chips`` added, vertex by vertex from vertex 0
+    chips += (0,) * (len(divisor.coefficients) - len(chips))
+    return Divisor(divisor.graph, tuple(a + b for a, b in zip(divisor.coefficients, chips)))
+
+
+# one wrong value each, as fields of theta's report at r = 2 to replace
+WRONG_TORSION_VALUES = {
+    # one class too many
+    "count": lambda report: {"torsion_count": report.torsion_count + 1},
+    # r chips added at vertex 0 of the first generator
+    "generator-degree": lambda report: {
+        "generators": (_plus(report.generators[0], 2), *report.generators[1:])
+    },
+    # a chip moved from vertex 0 to vertex 1 of the first generator: twice
+    # that move is no principal divisor
+    "generator-order": lambda report: {
+        "generators": (_plus(report.generators[0], -1, 1), *report.generators[1:])
+    },
+}
+
+
+@pytest.mark.parametrize("kind", WRONG_TORSION_VALUES)
+def test_torsion_check_fires_on_its_kind_alone(kind):
+    report = verify_torsion_on_subdivision(theta_graph(), 2, "all")
+    assert (report.invariant_factors, report.torsion_count) == ((2, 6), 4)
+    assert sweeps._torsion_problems(report, 2) == []
+    wrong = replace(report, **WRONG_TORSION_VALUES[kind](report))
+    assert sweeps._torsion_problems(wrong, 2) == [kind]
 
 
 def test_torsion_sweep_rejects_nonpositive_r(monkeypatch):
