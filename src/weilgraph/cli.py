@@ -56,9 +56,9 @@ _MODEL_SWEEP_CAP = 5
 # factor of verify --r reruns the torsion sweep, so the factors are
 # distinct and few.  A subdivision factor r on m edges gives a Smith form
 # of size about r * m.
-# The Weil form of a model with graph genus h and vertex genera g_v has
-# dimension at most 2 h + 2 sum(g_v), and its report holds the whole Gram;
-# the homology report holds the genus x genus Gram under the same ceiling.
+# The Weil form of a model of arithmetic genus g has dimension at most
+# 2 g, and its report holds the whole Gram; the homology report holds the
+# genus x genus Gram under the same ceiling.
 # Every command that reads a document builds per-vertex and per-edge
 # state, so the vertex and edge counts are bounded before any graph is
 # built.  The edge ceiling rejects nothing the other ceilings let through:
@@ -232,15 +232,16 @@ def cmd_cover(args) -> int:
 def cmd_torsion(args) -> int:
     doc = _read_document(args.graph)
     model = doc.model()
-    bound = 2 * model.graph_genus() + 2 * sum(model.vertex_genus)
-    if bound > MAX_FORM_DIMENSION:
+    genus = model.arithmetic_genus()
+    if 2 * genus > MAX_FORM_DIMENSION:
         raise DocumentError(
-            f"2 x genus + 2 x sum of genera is {bound}, over {MAX_FORM_DIMENSION}"
+            f"2 x genus + 2 x sum of genera is {2 * genus}, over {MAX_FORM_DIMENSION}"
         )
     form = model.weil_form()
-    genus = model.arithmetic_genus()
     order = model.two_torsion_order()
     nondegenerate = model.is_nondegenerate()
+    # the invertibility check fails exactly when invertible != nondegenerate
+    problems = _model_problems(genus, form, order, nondegenerate)
 
     payload = {
         "arithmetic_genus": genus,
@@ -251,8 +252,8 @@ def cmd_torsion(args) -> int:
         "form_dimension": form.total_dim,
         "block_dimensions": [form.h_dim, form.component_dim, form.q_dim],
         "gram": form.gram.tolist(),
-        "alternating": form.is_alternating(),
-        "invertible": form.gram.is_invertible(),
+        "alternating": "alternating" not in problems,
+        "invertible": nondegenerate != ("invertibility-criterion" in problems),
     }
     lines = [
         f"arithmetic genus: {payload['arithmetic_genus']}"
@@ -268,7 +269,7 @@ def cmd_torsion(args) -> int:
         f"invertible: {'yes' if payload['invertible'] else 'no'}",
     ]
     _emit(Report("torsion", doc.digest(), payload), lines, args.json)
-    return _verdict(_model_problems(genus, form, order, nondegenerate))
+    return _verdict(problems)
 
 
 def _check_subdivision(r: int, edges: int) -> None:

@@ -243,4 +243,5 @@ class WeilFormModel:
         return int(sum(a * b for a, b in zip(x.vector(), gy)) & 1)
 
     def is_alternating(self) -> bool:
-        return self.gram.is_symmetric() and self.gram.has_zero_diagonal()
+        """Whether the Gram is symmetric with a zero diagonal."""
+        return self.gram.is_alternating()

@@ -65,10 +65,6 @@ class InputDocument:
             obj = json.loads(text)
         except (ValueError, RecursionError) as err:  # bad JSON, a huge int, deep nesting
             raise DocumentError(f"not valid JSON: {err}") from err
-        return cls.from_mapping(obj)
-
-    @classmethod
-    def from_mapping(cls, obj) -> "InputDocument":
         if not isinstance(obj, dict):
             raise DocumentError("document must be a JSON object")
         unknown = set(obj) - {"vertices", "edges", "genera", "stabilizers"}

@@ -134,15 +134,6 @@ class GF2Matrix:
         v = _pack(vec)
         return tuple((row & v).bit_count() & 1 for row in self._bits)
 
-    def transpose(self) -> "GF2Matrix":
-        columns = [0] * self.cols
-        for i, row in enumerate(self._bits):
-            while row:
-                low = row & -row
-                columns[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        return GF2Matrix._of(columns, self.rows)
-
     def rank(self) -> int:
         return len(_echelon(self._bits))
 
@@ -161,9 +152,6 @@ class GF2Matrix:
         x = sum(p for p, row in reduced.items() if row >> n & 1)
         return tuple(x >> j & 1 for j in range(n))
 
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self._bits == self.transpose()._bits
-
     def block_is_zero(self, rows: range, cols: range) -> bool:
         """Whether every entry ``(i, j)`` with ``i`` in ``rows`` and ``j`` in
         ``cols`` is zero; both are step-one ranges inside the shape."""
@@ -173,9 +161,21 @@ class GF2Matrix:
         mask = (1 << cols.stop) - (1 << cols.start)
         return not any(row & mask for row in self._bits[rows.start : rows.stop])
 
-    def has_zero_diagonal(self) -> bool:
-        diagonal = (row >> i & 1 for i, row in enumerate(self._bits))
-        return self.rows == self.cols and not any(diagonal)
+    def is_alternating(self) -> bool:
+        """Square, symmetric, with a zero diagonal: one pass over the set
+        bits, in which each bit ``j`` of row ``i`` needs bit ``i`` of row
+        ``j`` and ``j != i``."""
+        if self.rows != self.cols:
+            return False
+        bits = self._bits
+        for i, row in enumerate(bits):
+            while row:
+                low = row & -row
+                j = low.bit_length() - 1
+                if j == i or not bits[j] >> i & 1:
+                    return False
+                row ^= low
+        return True
 
 
 # ---------------------------------------------------------------------------

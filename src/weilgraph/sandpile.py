@@ -371,8 +371,8 @@ class TorsionReport:
     ``subdivision`` is the subdivided graph, laid out as
     ``MultiGraph.subdivide`` describes; the invariant factors and the
     generator divisors live on it.  ``expected`` is r to the graph genus,
-    the count the subdivision construction realizes; ``verdict`` records
-    whether the computed torsion matched it.
+    the count the subdivision construction realizes; ``verdict``, derived
+    from those two fields, says whether the computed torsion matched it.
     """
 
     subdivision: MultiGraph
@@ -380,7 +380,10 @@ class TorsionReport:
     torsion_count: int
     expected: int
     generators: tuple[Divisor, ...]
-    verdict: bool
+
+    @property
+    def verdict(self) -> bool:
+        return self.torsion_count == self.expected
 
 
 def verify_torsion_on_subdivision(
@@ -404,12 +407,10 @@ def verify_torsion_on_subdivision(
     # subdividing keeps the graph connected
     group = _critical_group(sub)
     count, gens = group.r_torsion(r)
-    expected = r ** graph.genus()
     return TorsionReport(
         subdivision=sub,
         invariant_factors=group.invariant_factors,
         torsion_count=count,
-        expected=expected,
+        expected=r ** graph.genus(),
         generators=gens,
-        verdict=(count == expected),
     )

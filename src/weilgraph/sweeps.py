@@ -40,9 +40,12 @@ arithmetic genus, its own Gram and order from ``curvemodel._weil_form``
 and ``_two_torsion_order`` (the functions the model's public methods call),
 and all five checks of ``_model_problems``.
 
-The model sweep's cover check pairs the cocycles of each all-even model
-with its fundamental cycles (one non-forest edge closed by a forest path),
-which are simple and go through the cover whole.
+The model sweep's cover check takes the same lift path as the pairing
+sweep, once per graph, on its all-even genus-free model: one double cover
+per cocycle of the h block, one lifted edge list per cycle of the q block,
+and one ``cover._lift_cycle`` per pair.  The q cycles are fundamental
+cycles of the reduced graph (one non-forest edge closed by a forest path),
+so they are simple and need no check before the unchecked lift.
 """
 
 from __future__ import annotations
@@ -51,13 +54,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Collection, Iterator, Mapping, Sequence
 
-from .cover import (
-    _lift_cycle,
-    _lifted_edges,
-    build_double_cover,
-    lift_shape_ok,
-    pairing_via_cover,
-)
+from .cover import _lift_cycle, _lifted_edges, build_double_cover, lift_shape_ok
 from .curvemodel import (
     WeilFormModel,
     _reduced_blocks,
@@ -73,12 +70,7 @@ from .homology import (
     pairing_gram,
 )
 from .linalg import GF2Matrix, _echelon, _reduce
-from .sandpile import (
-    Divisor,
-    TorsionReport,
-    divisors_equivalent,
-    verify_torsion_on_subdivision,
-)
+from .sandpile import TorsionReport, dhar_reduce, verify_torsion_on_subdivision
 
 __all__ = [
     "SweepResult",
@@ -326,7 +318,8 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
     Enumerates every connected graph up to the bound, every stabilizer
     parity pattern, every genus-0/1 assignment, and runs ``_model_problems``
     on each model; on all-even genus-free models it also checks the h x q
-    Gram entries against the cover pairing of fundamental cycles.
+    Gram entries against the cover pairing of fundamental cycles, one cover
+    per cocycle and one unchecked lift per entry.
 
     Per graph: its non-separating edges, its genus and the genus tuples.
     Per (graph, even-edge set): the set, its reduced-graph blocks and the
@@ -373,11 +366,13 @@ def model_sweep(max_edges: int = 5, inject_fault: bool = False) -> SweepResult:
             if parity_mask == (1 << m) - 1:
                 form = _weil_form(blocks, (0,) * n)
                 h, c = form.h_dim, form.component_dim
+                cycles = [(alpha, _lifted_edges(alpha.edges)) for alpha in form.reduced_cycles]
                 for i, gamma in enumerate(form.cocycles):
-                    for j, alpha in enumerate(form.reduced_cycles):
+                    cover = build_double_cover(gamma)
+                    for j, (alpha, lifted) in enumerate(cycles):
                         res.instances += 1
-                        expected = form.gram.entry(i, h + c + j)
-                        if pairing_via_cover(gamma, alpha) != expected:
+                        bit_cover = 1 if len(_lift_cycle(cover, lifted)) == 1 else 0
+                        if bit_cover != form.gram.entry(i, h + c + j):
                             res.record(
                                 kind="cover-consistency",
                                 graph=graph.edges,
@@ -391,22 +386,24 @@ def _torsion_problems(report: TorsionReport, r: int) -> list[str]:
     """The kinds of the checks that fail on one r-subdivision's torsion report.
 
     The realized torsion count must be ``report.expected``, r to the graph
-    genus (``count``); every generator must have degree zero
-    (``generator-degree``), and r times each generator must reduce to zero
-    (``generator-order``; checked by burning, not by the Smith form that
-    produced the generator).  The first generator that fails ends the
-    generator checks.  A generator on another graph than the child is no
-    counterexample: ``divisors_equivalent`` raises.
+    genus (``count``, read off ``report.verdict``); every generator must
+    have degree zero (``generator-degree``), and r times each generator
+    must reduce to zero (``generator-order``), the zero divisor being the
+    reduced one of its class.  That is one burn per generator,
+    ``dhar_reduce``, not the Smith form that produced the generator.  The
+    first generator that fails ends the generator checks.  A generator on
+    another graph than the child is no counterexample: ``dhar_reduce``
+    raises.
     """
     problems = []
-    if report.torsion_count != report.expected:
+    if not report.verdict:
         problems.append("count")
     child = report.subdivision
     for gen in report.generators:
         if gen.degree() != 0:
             problems.append("generator-degree")
             break
-        if not divisors_equivalent(child, gen.scale(r), Divisor.zero(child)):
+        if any(dhar_reduce(child, gen.scale(r)).coefficients):
             problems.append("generator-order")
             break
     return problems

@@ -65,10 +65,14 @@ def test_gf2_solve_rejects_non_integers():
 
 
 def test_gf2_symmetry_flags():
-    assert GF2Matrix([[0, 1], [1, 0]]).is_symmetric()
-    assert GF2Matrix([[0, 1], [1, 0]]).has_zero_diagonal()
-    assert not GF2Matrix([[1, 1], [1, 0]]).has_zero_diagonal()
-    assert not GF2Matrix([[0, 1], [0, 0]]).is_symmetric()
+    assert GF2Matrix([]).is_alternating()
+    assert GF2Matrix([[0, 1], [1, 0]]).is_alternating()
+    # not square
+    assert not GF2Matrix([[0, 1, 0], [1, 0, 0]]).is_alternating()
+    # symmetric, with one diagonal bit
+    assert not GF2Matrix([[1, 1], [1, 0]]).is_alternating()
+    # a zero diagonal, and entry (0, 2) with no (2, 0) to match it
+    assert not GF2Matrix([[0, 1, 1], [1, 0, 0], [0, 0, 0]]).is_alternating()
 
 
 def test_gf2_entries_and_empty_shapes():
@@ -77,10 +81,8 @@ def test_gf2_entries_and_empty_shapes():
     assert [a.entry(0, j) for j in range(3)] == [1, 0, 1]
     with pytest.raises(IndexError):
         a.entry(0, 3)
-    assert a.transpose().tolist() == [[1, 0], [0, 1], [1, 1]]
     wide = GF2Matrix([], cols=3)
     assert (wide.rows, wide.cols) == (0, 3)
-    assert (wide.transpose().rows, wide.transpose().cols) == (3, 0)
     assert GF2Matrix([[], []]).solve([1, 0]) is None
     with pytest.raises(ValueError):
         GF2Matrix([[1, 0], [1]])
@@ -131,24 +133,31 @@ def test_gf2_bit_kernels_against_nested_lists():
     rng = random.Random(5)
     shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (7, 7)]
     shapes += [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(400)]
+    answers = set()
     for rows, cols in shapes:
         density = rng.choice((0.1, 0.5, 0.9))
         entries = [[int(rng.random() < density) for _ in range(cols)] for _ in range(rows)]
         if rows == cols and rng.random() < 0.5:
-            # mirror the upper triangle, so symmetric matrices come up too
-            entries = [[entries[min(i, j)][max(i, j)] for j in range(cols)] for i in range(rows)]
+            # mirror the strict upper triangle, with or without the diagonal,
+            # so symmetric and alternating matrices come up too
+            diagonal = rng.random() < 0.5
+            entries = [
+                [entries[min(i, j)][max(i, j)] if i != j or diagonal else 0 for j in range(cols)]
+                for i in range(rows)
+            ]
         a = GF2Matrix(entries, cols=cols)
         listed = a.tolist()
         assert listed == entries
         assert a.rank() == _list_rank(listed, cols)
-        t = a.transpose()
-        assert (t.rows, t.cols) == (cols, rows)
-        assert t.tolist() == [[listed[i][j] for i in range(rows)] for j in range(cols)]
-        assert t.transpose() == a
-        symmetric = rows == cols and all(
-            listed[i][j] == listed[j][i] for i in range(rows) for j in range(cols)
+        transposed = [[listed[i][j] for i in range(rows)] for j in range(cols)]
+        assert a.rank() == _list_rank(transposed, rows)
+        alternating = (
+            rows == cols
+            and not any(listed[i][i] for i in range(rows))
+            and all(listed[i][j] == listed[j][i] for i in range(rows) for j in range(cols))
         )
-        assert a.is_symmetric() == symmetric
+        assert a.is_alternating() == alternating
+        answers.add(alternating)
         r0, r1 = sorted(rng.randint(0, rows) for _ in range(2))
         c0, c1 = sorted(rng.randint(0, cols) for _ in range(2))
         assert a.block_is_zero(range(r0, r1), range(c0, c1)) == (
@@ -156,6 +165,7 @@ def test_gf2_bit_kernels_against_nested_lists():
         )
         v = [rng.randint(0, 1) for _ in range(cols)]
         assert list(a.mul_vec(v)) == [sum(r[k] * v[k] for k in range(cols)) % 2 for r in listed]
+    assert answers == {False, True}
     with pytest.raises(IndexError):
         GF2Matrix.identity(2).block_is_zero(range(3), range(2))
     with pytest.raises(IndexError):

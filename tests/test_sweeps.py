@@ -248,39 +248,72 @@ def _with_entries(form, *entries):
     return replace(form, gram=GF2Matrix(rows))
 
 
-# one wrong value each, as keyword arguments for the check
-WRONG_MODEL_VALUES = {
+# one wrong value each, as keyword arguments for the check, with the one
+# kind it must fail
+WRONG_MODEL_VALUES = [
     # the form's dimension, one too large: the Gram is untouched
-    "order-vs-dimension": lambda genus, form: {"form": replace(form, q_dim=form.q_dim + 1)},
+    pytest.param(
+        "order-vs-dimension",
+        lambda genus, form: {"form": replace(form, q_dim=form.q_dim + 1)},
+        id="order-vs-dimension",
+    ),
     # a smaller genus than that of the model whose order and form are given
-    "full-size-criterion": lambda genus, form: {"arithmetic_genus": genus - 1},
+    pytest.param(
+        "full-size-criterion",
+        lambda genus, form: {"arithmetic_genus": genus - 1},
+        id="full-size-criterion",
+    ),
     # the zero Gram is alternating and isotropic, and singular
-    "invertibility-criterion": lambda genus, form: {
-        "form": replace(form, gram=GF2Matrix([[0] * 6] * 6))
-    },
+    pytest.param(
+        "invertibility-criterion",
+        lambda genus, form: {"form": replace(form, gram=GF2Matrix([[0] * 6] * 6))},
+        id="invertibility-criterion",
+    ),
     # a diagonal entry in the component block keeps the Gram invertible
-    "alternating": lambda genus, form: {"form": _with_entries(form, (2, 2))},
+    pytest.param(
+        "alternating",
+        lambda genus, form: {"form": _with_entries(form, (2, 2))},
+        id="alternating",
+    ),
+    # one q x q entry without its mirror: the diagonal stays zero
+    pytest.param(
+        "alternating",
+        lambda genus, form: {"form": _with_entries(form, (4, 5))},
+        id="alternating-asymmetric",
+    ),
     # an h class pairing with a component class, symmetrically
-    "h-isotropy": lambda genus, form: {"form": _with_entries(form, (0, 2), (2, 0))},
-}
+    pytest.param(
+        "h-isotropy",
+        lambda genus, form: {"form": _with_entries(form, (0, 2), (2, 0))},
+        id="h-isotropy",
+    ),
+]
 
 
-@pytest.mark.parametrize("kind", WRONG_MODEL_VALUES)
-def test_model_check_fires_on_its_kind_alone(kind):
+@pytest.mark.parametrize("kind, wrong", WRONG_MODEL_VALUES)
+def test_model_check_fires_on_its_kind_alone(kind, wrong):
     model = TwistedCurveModel(theta_graph(), (1, 0), (2, 2, 2))
     genus, form, order = model.arithmetic_genus(), model.weil_form(), model.two_torsion_order()
     assert (form.h_dim, form.component_dim, form.q_dim) == (2, 2, 2)
     args = {"arithmetic_genus": genus, "form": form, "order": order, "full_size": True}
     assert sweeps._model_problems(**args) == []
-    args.update(WRONG_MODEL_VALUES[kind](genus, form))
+    args.update(wrong(genus, form))
     assert sweeps._model_problems(**args) == [kind]
 
 
 def test_model_sweep_catches_a_wrong_cover_pairing(monkeypatch):
-    pairing_via_cover = sweeps.pairing_via_cover
-    monkeypatch.setattr(
-        sweeps, "pairing_via_cover", lambda gamma, alpha: 1 - pairing_via_cover(gamma, alpha)
-    )
+    # every lift with its components merged into one, or its one
+    # component split in two
+    lift = sweeps._lift_cycle
+
+    def wrong_lift(cover, lifted):
+        components = lift(cover, lifted)
+        if len(components) == 2:
+            return [components[0] + components[1]]
+        half = len(components[0]) // 2
+        return [components[0][:half], components[0][half:]]
+
+    monkeypatch.setattr(sweeps, "_lift_cycle", wrong_lift)
     res = model_sweep(3)
     # every h x q entry of every all-even genus-free model: genus squared
     assert res.failure_count == sum(g.genus() ** 2 for g in connected_multigraphs(3)) > 0
