@@ -63,23 +63,30 @@ _MODEL_SWEEP_CAP = 5
 # state, so the vertex and edge counts are bounded before any graph is
 # built.  The edge ceiling rejects nothing the other ceilings let through:
 # genus and vertices of at most 1000 each allow at most 1999 edges.
+# A document is read no further than its length ceiling, so neither a huge
+# file nor an endless stdin is ever held whole: the largest compact
+# document the other ceilings admit, 3000 genera and stabilizers at
+# Python's 4300-digit integer limit, is about 12.9 MB.
 MAX_VERIFY_EDGES = 7
 MAX_VERIFY_FACTORS = 4
 MAX_SUBDIVIDED_EDGES = 400
 MAX_FORM_DIMENSION = 1000
 MAX_VERTICES = 1000
 MAX_EDGES = 2000
+MAX_DOCUMENT_CHARS = 16 * 2**20
 
 
 def _read_document(path: str) -> InputDocument:
     try:
         if path == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
         else:
             with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+                text = fh.read(MAX_DOCUMENT_CHARS + 1)
     except (OSError, UnicodeDecodeError) as err:
         raise DocumentError(f"cannot read {path}: {err}") from err
+    if len(text) > MAX_DOCUMENT_CHARS:
+        raise DocumentError(f"{path}: longer than {MAX_DOCUMENT_CHARS} characters")
     doc = InputDocument.parse(text)
     if doc.vertices > MAX_VERTICES:
         raise DocumentError(f"vertices: {doc.vertices} is over {MAX_VERTICES}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .curvemodel import TwistedCurveModel
 from .graphs import MultiGraph
@@ -139,12 +140,13 @@ class InputDocument:
 
 @dataclass(frozen=True)
 class Report:
-    """A command's machine-readable outcome."""
+    """A command's machine-readable outcome.  Every report has the one
+    ``schema_version`` that ``from_json`` reads back."""
 
     command: str
     input_digest: str
     payload: dict
-    schema_version: int = 1
+    schema_version: ClassVar[int] = 1
 
     def to_json(self) -> str:
         return _canonical_json(
@@ -173,11 +175,8 @@ class Report:
             raise DocumentError("command and input_digest must be strings")
         if not isinstance(obj["payload"], dict):
             raise DocumentError("payload must be an object")
-        if _expect_int(obj["schema_version"], "schema_version") != 1:
+        if _expect_int(obj["schema_version"], "schema_version") != cls.schema_version:
             raise DocumentError("unsupported report schema version")
         return cls(
-            command=obj["command"],
-            input_digest=obj["input_digest"],
-            payload=obj["payload"],
-            schema_version=obj["schema_version"],
+            command=obj["command"], input_digest=obj["input_digest"], payload=obj["payload"]
         )

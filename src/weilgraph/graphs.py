@@ -12,15 +12,15 @@ edge is just the multiset of its endpoints.
 
 One edge walk, ``MultiGraph._edge_components``, answers every connectivity
 question, from the genus to the sheets of a cycle's lift.  It trusts its
-edge indices and their ascending order, so it serves the inner loops
-directly (a cycle's lift, the simple-cycle test); the public
-``edge_components`` checks and sorts them first.  The component count
-(``component_count``, cached; ``_component_count`` for a graph read once,
-such as a double cover's total graph) adds the vertices no edge touches to
-the walk's component count and never reads ``spanning_forest``: the model
-sweep checks a torsion order whose exponent is the genus against a form
-dimension that counts fundamental cycles, and a count read off the forest
-would pass that check by construction.
+edge indices and their ascending order, which every caller holds (a
+range, a sorted support, a cycle's lifted edges), so it serves the inner
+loops directly.  The component count (``component_count``, cached;
+``_component_count`` for a graph read once, such as a double cover's
+total graph) adds the vertices no edge touches to the walk's component
+count and never reads ``spanning_forest``: the model sweep checks a
+torsion order whose exponent is the genus against a form dimension that
+counts fundamental cycles, and a count read off the forest would pass
+that check by construction.
 """
 
 from __future__ import annotations
@@ -145,16 +145,6 @@ class MultiGraph:
         live = [r for r in records if r[1] is not None]
         live.sort()  # by smallest edge: a merge may keep the younger record
         return [r[2] for r in live], self.vertex_count - label.count(None)
-
-    def edge_components(self, edges: Iterable[int]) -> tuple[frozenset[int], ...]:
-        """Components of the subgraph made of ``edges``, each given as its
-        set of edge indices, ordered by smallest member.
-
-        The checked entry to ``_edge_components``: each index must name an
-        edge, and a repeated one counts once.
-        """
-        components, _ = self._edge_components(sorted(self._edge_subset(edges)))
-        return tuple(map(frozenset, components))
 
     @cached_property
     def component_count(self) -> int:

@@ -1,11 +1,11 @@
 """Graph homology over GF(2) and the evaluation pairing.
 
 A 1-chain over GF(2) is nothing but its support, a set of edge indices,
-and likewise for 0-chains and for cochains; addition is symmetric
-difference.  The four wrapper types below pin the support to a specific
-graph and keep the chain/cochain roles apart, because the pairing reads
-one argument as a function on edges and the other as a formal sum of
-edges even though both are edge sets under the hood.
+and likewise for cochains; addition is symmetric difference.  The three
+wrapper types below pin the support to a specific graph and keep the
+chain/cochain roles apart, because the pairing reads one argument as a
+function on edges and the other as a formal sum of edges even though both
+are edge sets under the hood.
 
 The boundary of an edge is the sum of its endpoints, so loops die, and a
 1-chain is a cycle exactly when every vertex meets an even number of its
@@ -27,7 +27,6 @@ from .graphs import MultiGraph
 from .linalg import GF2Matrix
 
 __all__ = [
-    "Chain0",
     "Chain1",
     "Cochain0",
     "Cochain1",
@@ -48,14 +47,6 @@ def _trusted(cls, graph: MultiGraph, edges: frozenset):
     return obj
 
 
-def _check_vertices(graph: MultiGraph, vertices: frozenset) -> frozenset:
-    vertices = frozenset(map(index, vertices))
-    for v in vertices:
-        if not (0 <= v < graph.vertex_count):
-            raise ValueError(f"vertex index {v} out of range")
-    return vertices
-
-
 @dataclass(frozen=True)
 class Chain1:
     """GF(2) 1-chain: a formal sum of edges, stored as its support."""
@@ -71,29 +62,14 @@ class Chain1:
         """A chain on a trusted support: a frozenset of the graph's edge indices."""
         return _trusted(cls, graph, edges)
 
-    def boundary(self) -> "Chain0":
-        """Sum of endpoints over GF(2); loops contribute nothing."""
-        odd: set[int] = set()
-        for e in self.edges:
-            u, v = self.graph.edges[e]
-            if u == v:
-                continue
-            odd ^= {u, v}
-        return Chain0(self.graph, frozenset(odd))
-
     def is_cycle(self) -> bool:
-        return not self.boundary().vertices
-
-
-@dataclass(frozen=True)
-class Chain0:
-    """GF(2) 0-chain: a formal sum of vertices."""
-
-    graph: MultiGraph
-    vertices: frozenset
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", _check_vertices(self.graph, self.vertices))
+        """Whether the boundary is zero: the XOR over the support of each
+        edge's endpoint bits, in which a loop's two bits cancel."""
+        ends, boundary = self.graph.edges, 0
+        for e in self.edges:
+            u, v = ends[e]
+            boundary ^= (1 << u) ^ (1 << v)
+        return not boundary
 
 
 @dataclass(frozen=True)
@@ -104,7 +80,11 @@ class Cochain0:
     vertices: frozenset
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", _check_vertices(self.graph, self.vertices))
+        vertices = frozenset(map(index, self.vertices))
+        for v in vertices:
+            if not (0 <= v < self.graph.vertex_count):
+                raise ValueError(f"vertex index {v} out of range")
+        object.__setattr__(self, "vertices", vertices)
 
     def coboundary(self) -> "Cochain1":
         """Edges whose two endpoints get different values.  Loops never do."""
@@ -217,12 +197,11 @@ def is_simple_cycle(alpha: Chain1) -> bool:
     vertices, closed up.  A loop is a cycle of length one, a parallel pair
     a cycle of length two.
 
-    Characterization used: the support is connected and every vertex it
-    touches has exactly two endpoints in it (a loop counts twice).
+    Characterization used: the support makes exactly one component, and
+    every vertex it touches has exactly two endpoints in it (a loop counts
+    twice).  The empty support makes none.
     """
     support = alpha.edges
-    if not support:
-        return False
     graph = alpha.graph
     degree: dict[int, int] = {}
     for e in support:

@@ -64,6 +64,21 @@ def _reduce(row: int, basis: Mapping[int, int]) -> int:
     return row
 
 
+def _width(rows: Sequence[tuple], cols: int | None) -> int:
+    """The column count of a matrix on ``rows``: the length of every row, or
+    ``cols`` when there are no rows (zero when it is None as well).
+    ``cols`` is read through ``index``.  Ragged rows, a negative width and a
+    ``cols`` that disagrees with the rows are errors."""
+    if cols is not None:
+        cols = index(cols)
+    width = len(rows[0]) if rows else cols or 0
+    if width < 0:
+        raise ValueError(f"negative width {width}")
+    if any(len(row) != width for row in rows) or cols not in (None, width):
+        raise ValueError("ragged rows, or cols disagrees with the row width")
+    return width
+
+
 def _back_substitute(basis: Mapping[int, int]) -> dict[int, int]:
     """The reduced echelon form of an ``_echelon`` basis, keyed by pivot bit:
     highest pivot first, each row is cleared at every pivot above its own."""
@@ -89,13 +104,8 @@ class GF2Matrix:
             rows = [tuple(row) for row in entries]
         except TypeError:
             raise ValueError("GF2Matrix needs nested rows") from None
-        width = len(rows[0]) if rows else (cols or 0)
-        if width < 0:
-            raise ValueError(f"negative width {width}")
-        if any(len(row) != width for row in rows) or cols not in (None, width):
-            raise ValueError("ragged rows, or cols disagrees with the row width")
+        self.rows, self.cols = len(rows), _width(rows, cols)
         self._bits = tuple(map(_pack, rows))
-        self.rows, self.cols = len(rows), width
 
     @classmethod
     def _of(cls, bits: Iterable[int], cols: int) -> "GF2Matrix":
@@ -191,48 +201,25 @@ class IntMatrix:
     through ``_of`` instead.
     """
 
-    __slots__ = ("entries", "_cols")
+    __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, entries: Iterable[Iterable[int]], *, cols: int | None = None):
         rows = tuple(tuple(map(index, row)) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("cols disagrees with row width")
-            self._cols = width
-        elif cols is not None and index(cols) < 0:
-            raise ValueError(f"negative width {cols}")
-        else:
-            self._cols = 0 if cols is None else index(cols)
-        self.entries = rows
+        self.entries, self.rows, self.cols = rows, len(rows), _width(rows, cols)
 
     @classmethod
     def _of(cls, rows: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
         """A matrix on trusted rows: a tuple of int tuples, each ``cols`` long."""
         mat = object.__new__(cls)
-        mat.entries = rows
-        mat._cols = cols
+        mat.entries, mat.rows, mat.cols = rows, len(rows), cols
         return mat
 
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return self._cols
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntMatrix)
-            and self.entries == other.entries
-            and self._cols == other._cols
-        )
+        same_type = isinstance(other, IntMatrix)
+        return same_type and (self.entries, self.cols) == (other.entries, other.cols)
 
     def __hash__(self):
-        return hash((self.entries, self._cols))
+        return hash((self.entries, self.cols))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -459,7 +446,8 @@ def _divisor_pivot(
 
 
 def smith_normal_form(mat: IntMatrix) -> SmithForm:
-    """Smith normal form with unimodular transforms on both sides.
+    """Smith normal form, with the steps of its unimodular transforms on
+    both sides recorded.
 
     Two phases.  The first eliminates over sparse rows on pivots ``x``
     that divide every entry of their row and column, chosen by least

@@ -239,8 +239,6 @@ def dhar_reduce(graph: MultiGraph, divisor: Divisor) -> Divisor:
     neigh, degree, dist = _burn_data(graph)
     if -1 in dist:
         raise ValueError("reduction needs a connected graph")
-    if n == 1:
-        return divisor
 
     d = list(divisor.coefficients)
     if any(abs(c) > deg for c, deg in zip(d[1:], degree[1:])):

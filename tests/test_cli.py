@@ -556,6 +556,30 @@ def test_edge_ceiling(command, tmp_path, capsys):
         assert f"over {MAX_EDGES}" not in captured.err
 
 
+@pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+def test_document_length_ceiling(stdin, tmp_path, capsys, monkeypatch):
+    # a document is read no further than its ceiling: one character past it
+    # is refused before parsing, from a file and from stdin alike
+    monkeypatch.setattr(cli, "MAX_DOCUMENT_CHARS", len(THETA))
+    path = tmp_path / "theta.json"
+
+    def run(text):
+        if stdin:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        else:
+            path.write_text(text)
+        return main(["homology", "--graph", "-" if stdin else str(path), "--json"])
+
+    assert run(THETA) == 0
+    assert capsys.readouterr().err == ""
+    assert run(THETA + " ") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {'-' if stdin else path}: longer than {len(THETA)} characters\n"
+    )
+
+
 def test_homology_genus_ceiling(tmp_path, capsys):
     # the genus x genus Gram may reach the form ceiling but not pass it
     path = tmp_path / "graph.json"

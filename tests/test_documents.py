@@ -101,6 +101,16 @@ def test_report_round_trip():
     assert Report.from_json(encoded).to_json() == encoded
 
 
+def test_report_schema_version_is_not_settable():
+    # the one version from_json accepts is the one every report writes
+    with pytest.raises(TypeError):
+        Report("t", "x", {}, schema_version=2)
+    rep = Report("t", "x", {})
+    with pytest.raises(AttributeError):
+        rep.schema_version = 2
+    assert Report.from_json(rep.to_json()).schema_version == 1
+
+
 @pytest.mark.parametrize(
     "raw",
     [

@@ -9,6 +9,7 @@ from weilgraph import (
     Cochain0,
     Cochain1,
     Divisor,
+    GF2Matrix,
     IntMatrix,
     MultiGraph,
     TwistedCurveModel,
@@ -51,9 +52,8 @@ def test_validation():
         Cochain1,
         MultiGraph.delete_edges,
         lambda g, es: g.subdivide(2, which=es),
-        MultiGraph.edge_components,
     ],
-    ids=["Chain1", "Cochain1", "delete_edges", "subdivide", "edge_components"],
+    ids=["Chain1", "Cochain1", "delete_edges", "subdivide"],
 )
 @pytest.mark.parametrize("bad", [-1, theta_graph().edge_count])
 def test_edge_subsets_are_range_checked(build, bad):
@@ -74,6 +74,8 @@ NON_INTEGER_INPUTS = {
     "Divisor.scale": lambda g: Divisor(g, (1, -1)).scale(0.5),
     "IntMatrix entry": lambda g: IntMatrix([[1.5]]),
     "IntMatrix cols": lambda g: IntMatrix([], cols=2.0),
+    "IntMatrix cols beside rows": lambda g: IntMatrix([[1, 2]], cols=2.0),
+    "GF2Matrix cols": lambda g: GF2Matrix([], cols=2.0),
 }
 
 
@@ -97,10 +99,7 @@ def test_components_and_genus():
     assert two_triangles.component_count == 2
     assert not two_triangles.is_connected()
     assert two_triangles.genus() == 2
-    assert two_triangles.edge_components(range(6)) == (
-        frozenset({0, 1, 2}),
-        frozenset({3, 4, 5}),
-    )
+    assert two_triangles._edge_components(range(6)) == ([[0, 1, 2], [3, 4, 5]], 6)
 
     isolated = MultiGraph(3, ((0, 1),))
     assert isolated.component_count == 2
@@ -110,10 +109,9 @@ def test_components_and_genus():
     # with edge 0's smaller one: the kept record is younger than the loop's,
     # yet the output stays ordered by smallest member.  Vertex 6 is untouched.
     merged = MultiGraph(7, ((0, 1), (4, 4), (2, 3), (3, 5), (1, 2)))
-    assert merged.edge_components([4, 3, 2, 1, 0, 4]) == (
-        frozenset({0, 2, 3, 4}),
-        frozenset({1}),
-    )
+    components, touched = merged._edge_components(range(5))
+    assert [sorted(c) for c in components] == [[0, 2, 3, 4], [1]]
+    assert touched == 6
     assert merged.component_count == 3
     assert merged.genus() == 1
 

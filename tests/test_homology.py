@@ -35,12 +35,17 @@ def test_chain_validation():
 
 
 def test_boundary():
+    # a chain is a cycle exactly when its GF(2) boundary is zero
     g = path_graph(3)
-    assert Chain1(g, frozenset({0})).boundary().vertices == frozenset({0, 1})
-    assert Chain1(g, frozenset({0, 1})).boundary().vertices == frozenset({0, 2})
+    assert not Chain1(g, frozenset({0})).is_cycle()
+    assert not Chain1(g, frozenset({0, 1})).is_cycle()
+    assert Chain1(g, frozenset()).is_cycle()
     loop = bouquet_graph(1)
-    assert Chain1(loop, frozenset({0})).boundary().vertices == frozenset()
     assert Chain1(loop, frozenset({0})).is_cycle()
+    # the two parallel edges of a 2-cycle cancel at both ends
+    assert Chain1(cycle_graph(2), frozenset({0, 1})).is_cycle()
+    assert Chain1(dumbbell_graph(), frozenset({0, 2})).is_cycle()
+    assert not Chain1(dumbbell_graph(), frozenset({0, 1})).is_cycle()
     tri = cycle_graph(3)
     assert Chain1(tri, frozenset({0, 1, 2})).is_cycle()
     assert not Chain1(tri, frozenset({0, 1})).is_cycle()
@@ -137,7 +142,8 @@ def test_perfect_pairing_examples():
 def test_cycles_span_the_kernel_of_the_boundary():
     # independent dimension count: the cycle space is the GF(2) kernel of
     # the vertex-by-edge boundary matrix
-    rng = random.Random(9)
+    rng, draw = random.Random(9), random.Random(10)
+    verdicts = set()
     for _ in range(40):
         g = random_connected(rng, 5, 5)
         rows = [[0] * g.edge_count for _ in range(g.vertex_count)]
@@ -151,6 +157,14 @@ def test_cycles_span_the_kernel_of_the_boundary():
         assert basis.genus == kernel_dim == g.genus()
         for c in basis.cycles:
             assert c.is_cycle()
+        # the cycle test against the boundary matrix, on random supports
+        for _ in range(10):
+            bits = [draw.randint(0, 1) for _ in range(g.edge_count)]
+            support = frozenset(e for e, bit in enumerate(bits) if bit)
+            verdict = Chain1(g, support).is_cycle()
+            assert verdict == (not any(boundary.mul_vec(bits)))
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_is_simple_cycle():

@@ -151,7 +151,6 @@ def test_routes_stay_independent():
         "component_count",
         "_component_count",
         "is_connected",
-        "edge_components",
         "_edge_components",
     )
     for name in walks:
@@ -251,6 +250,34 @@ def test_no_unused_imports():
         }
         stale += [f"{path.name}: {name}" for name in sorted(imported - read)]
     assert stale == []
+
+
+def test_every_private_definition_is_read():
+    # a function, class or method named with one leading underscore is read
+    # somewhere in the package outside its own definition, so no private
+    # code lives on for the tests alone
+    trees = [_tree(path) for path in sorted((SRC / "weilgraph").glob("*.py"))]
+    reads = [
+        (node.id if isinstance(node, ast.Name) else node.attr, node)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    definitions = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert len(definitions) > 40
+    unread = []
+    for definition in definitions:
+        inside = set(map(id, ast.walk(definition)))
+        if not any(name == definition.name and id(node) not in inside for name, node in reads):
+            unread.append(f"{definition.name} (line {definition.lineno})")
+    assert unread == []
 
 
 def test_no_test_module_imports_another():

@@ -117,14 +117,22 @@ def multigraphs(draw, max_vertices=40):
 
 def _nx_edge_components(nx, graph, subset):
     # networkx's components of the edges in ``subset``, as edge-index sets
-    # ordered by smallest member; the edge index is the networkx edge key
+    # ordered by smallest member, and the vertices they touch; the edge
+    # index is the networkx edge key
     sub = nx.MultiGraph()
     sub.add_edges_from((*graph.edges[e], e) for e in subset)
     components = (
         frozenset(k for _, _, k in sub.subgraph(vertices).edges(keys=True))
         for vertices in nx.connected_components(sub)
     )
-    return tuple(sorted(components, key=min))
+    return sorted(components, key=min), sub.number_of_nodes()
+
+
+def _edge_components(graph, subset):
+    # the walk on ascending edge indices, as every caller in the package
+    # holds them, with each component as a set
+    components, touched = graph._edge_components(sorted(subset))
+    return list(map(frozenset, components)), touched
 
 
 @SEEDED_SETTINGS
@@ -139,10 +147,10 @@ def test_connectivity_agrees_with_networkx(graph, data):
     assert graph.genus() == graph.edge_count - graph.vertex_count + count
     m = graph.edge_count
     everything = range(m)
-    assert graph.edge_components(everything) == _nx_edge_components(nx, graph, everything)
+    assert _edge_components(graph, everything) == _nx_edge_components(nx, graph, everything)
     for _ in range(3):
         subset = {e for e in everything if data.draw(st.booleans())}
-        assert graph.edge_components(subset) == _nx_edge_components(nx, graph, subset)
+        assert _edge_components(graph, subset) == _nx_edge_components(nx, graph, subset)
 
 
 @st.composite

@@ -87,6 +87,10 @@ def test_dhar_frozen():
     assert dhar_reduce(g, Divisor(g, (0, -1, 1))).coefficients == (-1, 1, 0)
     zero = Divisor.zero(g)
     assert dhar_reduce(g, zero) == zero
+    # one vertex: the fire burns it at once and every divisor is reduced
+    one = bouquet_graph(2)
+    for coefficients in ((5,), (-3,)):
+        assert dhar_reduce(one, Divisor(one, coefficients)).coefficients == coefficients
 
 
 def test_dhar_validation():
