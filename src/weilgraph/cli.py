@@ -59,10 +59,7 @@ _MODEL_SWEEP_CAP = 5
 # The Weil form of a model of arithmetic genus g has dimension at most
 # 2 g, and its report holds the whole Gram; the homology report holds the
 # genus x genus Gram under the same ceiling.
-# Every command that reads a document builds per-vertex and per-edge
-# state, so the vertex and edge counts are bounded before any graph is
-# built.  The edge ceiling rejects nothing the other ceilings let through:
-# genus and vertices of at most 1000 each allow at most 1999 edges.
+# The vertex and edge ceilings are the document's own (``documents``).
 # A document is read no further than its length ceiling, so neither a huge
 # file nor an endless stdin is ever held whole: the largest compact
 # document the other ceilings admit, 3000 genera and stabilizers at
@@ -71,8 +68,6 @@ MAX_VERIFY_EDGES = 7
 MAX_VERIFY_FACTORS = 4
 MAX_SUBDIVIDED_EDGES = 400
 MAX_FORM_DIMENSION = 1000
-MAX_VERTICES = 1000
-MAX_EDGES = 2000
 MAX_DOCUMENT_CHARS = 16 * 2**20
 
 
@@ -87,12 +82,7 @@ def _read_document(path: str) -> InputDocument:
         raise DocumentError(f"cannot read {path}: {err}") from err
     if len(text) > MAX_DOCUMENT_CHARS:
         raise DocumentError(f"{path}: longer than {MAX_DOCUMENT_CHARS} characters")
-    doc = InputDocument.parse(text)
-    if doc.vertices > MAX_VERTICES:
-        raise DocumentError(f"vertices: {doc.vertices} is over {MAX_VERTICES}")
-    if len(doc.edges) > MAX_EDGES:
-        raise DocumentError(f"edges: {len(doc.edges)} is over {MAX_EDGES}")
-    return doc
+    return InputDocument.parse(text)
 
 
 def _parse_ints(text: str, what: str, noun: str) -> list[int]:

@@ -22,24 +22,23 @@ non-separating edge has even stabilizer order.
 Per graph: the cocycles that index the h block (``homology_basis``'s
 cache).  Per graph and set of even edges, not per model: the reduced graph,
 its cycle basis pushed into the parent graph and the h x q pairing bits.
-``_reduced_blocks`` computes these once per ``(graph, even_edges)`` key,
-with the graph's cocycles alongside, in an ``lru_cache`` of 16 entries,
-enough because a model sweep is done with one key before it starts the
-next.  Per model there remains only the genus bookkeeping,
-``_two_torsion_order``, and the assembly of the Gram rows around those
-blocks, ``_weil_form``.  The methods of ``TwistedCurveModel`` call these
-two with the model's own blocks; a sweep that holds the blocks of one
-even-edge set calls them directly for every decoration that shares it,
-and builds no model.  The reduced genus counts edges, vertices and
-components of the reduced graph rather than the cycle basis that sizes the
-q block, so the torsion order and the form dimension stay two independent
-counts.
+``_reduced_blocks`` computes these, with the graph's cocycles alongside,
+and keeps nothing: a model sweep asks once per ``(graph, even_edges)``
+key, and a model keeps its own in ``_blocks``.  Per model there remains
+only the genus bookkeeping, ``_two_torsion_order``, and the assembly of
+the Gram rows around those blocks, ``_weil_form``.  The methods of
+``TwistedCurveModel`` call these two with the model's own blocks; a sweep
+that holds the blocks of one even-edge set calls them directly for every
+decoration that shares it, and builds no model.  The reduced genus counts
+edges, vertices and components of the reduced graph rather than the cycle
+basis that sizes the q block, so the torsion order and the form dimension
+stay two independent counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from operator import index
 from typing import NamedTuple
 
@@ -64,14 +63,11 @@ class _ReducedBlocks(NamedTuple):
     transposed: tuple[int, ...]  # row j, bit i: the same bit
 
 
-# The sweeps look keys up one graph and one set of even edges at a time:
-# from cold caches, model_sweep(3), (4) and (5) miss 213, 1861 and 18245
-# times at any maxsize from 1 up.  The bound only caps what a long-lived
-# caller mixing many graphs can hold.
-@lru_cache(maxsize=16)
 def _reduced_blocks(graph: MultiGraph, even_edges: EdgeSubset) -> _ReducedBlocks:
-    odd = frozenset(range(graph.edge_count)) - even_edges
-    reduced, kept = graph.delete_edges(odd)
+    """The blocks of the models on ``graph`` with even edges ``even_edges``:
+    the reduced graph keeps those edges, in parent edge order."""
+    kept = sorted(even_edges)
+    reduced = MultiGraph._of(graph.vertex_count, tuple(graph.edges[e] for e in kept))
     pushed = tuple(
         Chain1._of(graph, frozenset(kept[j] for j in c.edges))
         for c in homology_basis(reduced).cycles
@@ -156,12 +152,14 @@ class TwistedCurveModel:
     def even_edges(self) -> EdgeSubset:
         return frozenset(e for e, s in enumerate(self.edge_order) if s % 2 == 0)
 
+    @cached_property
     def _blocks(self) -> _ReducedBlocks:
+        """Computed once: the order, reduced genus and Weil form read them."""
         return _reduced_blocks(self.graph, self.even_edges())
 
     def reduced_graph(self) -> MultiGraph:
         """The dual graph with the odd-order edges dropped."""
-        return self._blocks().reduced
+        return self._blocks.reduced
 
     def reduced_genus(self) -> int:
         return self.reduced_graph().genus()
@@ -189,7 +187,7 @@ class TwistedCurveModel:
         h x q corner is the graph pairing of the cohomology basis against
         the reduced graph's cycle basis pushed into the parent graph.
         """
-        return _weil_form(self._blocks(), self.vertex_genus)
+        return _weil_form(self._blocks, self.vertex_genus)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ An input document is one JSON object with a ``vertices`` count and an
 ``edges`` list of ``[u, v]`` pairs (0-indexed, loops and parallels fine),
 plus optional ``genera`` (one per vertex, default zero) and
 ``stabilizers`` (one per edge, default one).  Parsing is strict: unknown
-keys, wrong lengths and out-of-range indices are all document errors.
+keys, wrong lengths and out-of-range indices are all document errors, and
+so are more than ``MAX_VERTICES`` vertices or ``MAX_EDGES`` edges, refused
+before any edge is read.
 
 Reports serialize canonically: sorted keys, compact separators, no
 timestamps, and the input digest is the SHA-256 of the document's own
@@ -28,6 +30,14 @@ __all__ = [
     "InputDocument",
     "Report",
 ]
+
+
+# Every command that reads a document builds per-vertex and per-edge
+# state, so the vertex and edge counts are bounded before any pair is
+# built.  The edge ceiling rejects nothing the command ceilings let
+# through: genus and vertices of at most 1000 each allow at most 1999 edges.
+MAX_VERTICES = 1000
+MAX_EDGES = 2000
 
 
 class DocumentError(ValueError):
@@ -77,10 +87,14 @@ class InputDocument:
         vertices = _expect_int(obj["vertices"], "vertices")
         if vertices < 0:
             raise DocumentError("vertices must be non-negative")
+        if vertices > MAX_VERTICES:
+            raise DocumentError(f"vertices: {vertices} is over {MAX_VERTICES}")
 
         raw_edges = obj["edges"]
         if not isinstance(raw_edges, list):
             raise DocumentError("edges must be a list of [u, v] pairs")
+        if len(raw_edges) > MAX_EDGES:
+            raise DocumentError(f"edges: {len(raw_edges)} is over {MAX_EDGES}")
         edges = []
         for i, pair in enumerate(raw_edges):
             if not isinstance(pair, list) or len(pair) != 2:

@@ -235,17 +235,6 @@ class MultiGraph:
 
     # -- derived graphs ------------------------------------------------------
 
-    def delete_edges(self, drop: Iterable[int]) -> tuple["MultiGraph", tuple[int, ...]]:
-        """Remove the edges in ``drop``, keeping the vertex set.
-
-        Returns ``(child, kept)`` where ``kept[j]`` is the parent index of
-        child edge ``j``.  Relative edge order is preserved.
-        """
-        dropset = self._edge_subset(drop)
-        kept = tuple(e for e in range(self.edge_count) if e not in dropset)
-        child = MultiGraph._of(self.vertex_count, tuple(self.edges[e] for e in kept))
-        return child, kept
-
     def subdivide(self, r: int, which: Iterable[int] | None = None) -> "MultiGraph":
         """Divide each edge in ``which`` into ``r`` equal parts.
 

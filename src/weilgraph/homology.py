@@ -39,17 +39,11 @@ __all__ = [
 ]
 
 
-def _trusted(cls, graph: MultiGraph, edges: frozenset):
-    # an edge-set wrapper built without MultiGraph._edge_subset
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "graph", graph)
-    object.__setattr__(obj, "edges", edges)
-    return obj
-
-
 @dataclass(frozen=True)
-class Chain1:
-    """GF(2) 1-chain: a formal sum of edges, stored as its support."""
+class _EdgeSet:
+    """A set of edges of one graph, in the role its subclass names.  The
+    generated ``__eq__`` compares classes first, so a chain never equals a
+    cochain, and ``repr`` names the role."""
 
     graph: MultiGraph
     edges: frozenset
@@ -58,9 +52,16 @@ class Chain1:
         object.__setattr__(self, "edges", self.graph._edge_subset(self.edges))
 
     @classmethod
-    def _of(cls, graph: MultiGraph, edges: frozenset) -> "Chain1":
-        """A chain on a trusted support: a frozenset of the graph's edge indices."""
-        return _trusted(cls, graph, edges)
+    def _of(cls, graph: MultiGraph, edges: frozenset):
+        """One on a trusted support: a frozenset of the graph's edge indices."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "graph", graph)
+        object.__setattr__(obj, "edges", edges)
+        return obj
+
+
+class Chain1(_EdgeSet):
+    """GF(2) 1-chain: a formal sum of edges, stored as its support."""
 
     def is_cycle(self) -> bool:
         """Whether the boundary is zero: the XOR over the support of each
@@ -93,23 +94,11 @@ class Cochain0:
             for e, (u, v) in enumerate(self.graph.edges)
             if (u in self.vertices) != (v in self.vertices)
         ]
-        return Cochain1(self.graph, frozenset(marked))
+        return Cochain1._of(self.graph, frozenset(marked))
 
 
-@dataclass(frozen=True)
-class Cochain1:
+class Cochain1(_EdgeSet):
     """GF(2) edge function, stored as the set where it equals one."""
-
-    graph: MultiGraph
-    edges: frozenset
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", self.graph._edge_subset(self.edges))
-
-    @classmethod
-    def _of(cls, graph: MultiGraph, edges: frozenset) -> "Cochain1":
-        """A cochain on a trusted support: a frozenset of the graph's edge indices."""
-        return _trusted(cls, graph, edges)
 
 
 def graph_pairing(gamma: Cochain1, alpha: Chain1) -> int:

@@ -30,10 +30,10 @@ once per instance.  Per graph: the simple cycles (validated once by
 list and length (``cover._lifted_edges``, the same for every cover of the
 graph), the echelon basis of the coboundary image that ``_is_coboundary``
 reduces against, and, in the model sweep, the non-separating edges, the
-genus and the vertex genus tuples.  Per graph and set of even edges, in the
-model sweep: the set, its reduced-graph blocks (``curvemodel``'s cache,
-keyed on the graph and that set) and the reduced genus.  Per instance: one
-double cover and its connectivity, one reduction of the cochain's bit row
+genus and the vertex genus tuples.  Per graph and set of even edges, in
+the model sweep: the set, its reduced-graph blocks (one
+``curvemodel._reduced_blocks`` call) and the reduced genus.  Per instance:
+one double cover and its connectivity, one reduction of the cochain's bit row
 (its index in ``all_cochains``) against the coboundary basis, one lift and
 one parity per simple cycle; and per decoration, no model object but its
 arithmetic genus, its own Gram and order from ``curvemodel._weil_form``
@@ -119,11 +119,12 @@ def connected_multigraphs(max_edges: int) -> Iterator[MultiGraph]:
 
     One representative per sorted first-use edge list; every isomorphism
     class appears at least once.  The single-vertex edgeless graph is the
-    unique zero-edge case.
+    unique zero-edge case.  Each graph is built unchecked: its endpoints
+    are ints below its vertex count by construction.
     """
     if max_edges < 0:
         raise ValueError("edge bound must be non-negative")
-    yield MultiGraph(1, ())
+    yield MultiGraph._of(1, ())
     for m in range(1, max_edges + 1):
         yield from _connected_with_edges([], m, 1)
 
@@ -135,7 +136,7 @@ def _connected_with_edges(
     # to m edges; a module-level generator, not a closure, so an exhausted
     # enumeration leaves no function-cell cycle for the collector
     if len(edges) == m:
-        yield MultiGraph(used, tuple(edges))
+        yield MultiGraph._of(used, tuple(edges))
         return
     lu, lv = edges[-1] if edges else (0, 0)
     for u in range(lu, used):

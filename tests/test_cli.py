@@ -19,14 +19,13 @@ from weilgraph import (
     verify_torsion_on_subdivision,
 )
 from weilgraph.cli import (
-    MAX_EDGES,
     MAX_FORM_DIMENSION,
     MAX_SUBDIVIDED_EDGES,
     MAX_VERIFY_EDGES,
     MAX_VERIFY_FACTORS,
-    MAX_VERTICES,
     main,
 )
+from weilgraph.documents import MAX_EDGES, MAX_VERTICES
 
 THETA = '{"vertices": 2, "edges": [[0, 1], [0, 1], [0, 1]]}'
 THETA_MODEL = (

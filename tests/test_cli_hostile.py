@@ -24,14 +24,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from weilgraph import Report  # noqa: E402
 from weilgraph.cli import (  # noqa: E402
-    MAX_EDGES,
     MAX_FORM_DIMENSION,
     MAX_SUBDIVIDED_EDGES,
     MAX_VERIFY_EDGES,
     MAX_VERIFY_FACTORS,
-    MAX_VERTICES,
     main,
 )
+from weilgraph.documents import MAX_EDGES, MAX_VERTICES  # noqa: E402
 
 HUGE = 10**100
 HOSTILE = (-HUGE, -1, 0, 1, 2, 3, HUGE)

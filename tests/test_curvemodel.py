@@ -20,7 +20,7 @@ from weilgraph import (
     model_sweep,
     theta_graph,
 )
-from weilgraph import cli, curvemodel, homology, sweeps
+from weilgraph import cli, curvemodel, homology
 
 POINT = MultiGraph(1, ())
 
@@ -151,8 +151,8 @@ def _reference_gram(model):
     reduced graph rebuilt and every h x q entry from ``graph_pairing``."""
     graph = model.graph
     cocycles = homology_basis(graph).cocycles
-    odd = [e for e, s in enumerate(model.edge_order) if s % 2]
-    reduced, kept = graph.delete_edges(odd)
+    kept = [e for e, s in enumerate(model.edge_order) if s % 2 == 0]
+    reduced = MultiGraph(graph.vertex_count, tuple(graph.edges[e] for e in kept))
     pushed = [
         Chain1(graph, frozenset(kept[j] for j in c.edges))
         for c in homology_basis(reduced).cycles
@@ -226,25 +226,37 @@ def test_reduced_blocks_are_per_graph():
         assert {c.edges for c in form.reduced_cycles} == expected[graph]
 
 
+def test_a_model_computes_its_blocks_once(monkeypatch):
+    # the order, the reduced genus, the reduced graph and the Weil form all
+    # read one computation of the model's blocks
+    calls = []
+    blocks = curvemodel._reduced_blocks
+
+    def counted(graph, even_edges):
+        calls.append(even_edges)
+        return blocks(graph, even_edges)
+
+    monkeypatch.setattr(curvemodel, "_reduced_blocks", counted)
+    model = TwistedCurveModel(theta_graph(), (0, 1), (2, 3, 2))
+    form = model.weil_form()
+    assert model.two_torsion_order() == 2 ** form.total_dim == 2**5
+    assert model.reduced_genus() == 1
+    assert model.reduced_graph().edges == ((0, 1), (0, 1))
+    assert form == model.weil_form()
+    assert calls == [frozenset({0, 2})]
+
+
 def test_gf2_caches_miss_as_if_unbounded(monkeypatch):
-    # the model sweep reuses a basis only among neighbouring graphs and a
-    # reduced block only within one even-edge set, so the bounds on both
-    # caches cost no misses; homology_basis is bound by name in three
-    # modules and _reduced_blocks in two
+    # the model sweep reuses a basis only among neighbouring graphs, so the
+    # bound on the cache costs no misses; homology_basis is bound by name
+    # in three modules
     def misses():
         homology.homology_basis.cache_clear()
-        curvemodel._reduced_blocks.cache_clear()
         assert model_sweep(4).ok
-        return [
-            homology.homology_basis.cache_info().misses,
-            curvemodel._reduced_blocks.cache_info().misses,
-        ]
+        return homology.homology_basis.cache_info().misses
 
     bounded = misses()
     basis = lru_cache(maxsize=None)(homology.homology_basis.__wrapped__)
     for module in (homology, curvemodel, cli):
         monkeypatch.setattr(module, "homology_basis", basis)
-    blocks = lru_cache(maxsize=None)(curvemodel._reduced_blocks.__wrapped__)
-    for module in (curvemodel, sweeps):
-        monkeypatch.setattr(module, "_reduced_blocks", blocks)
     assert misses() == bounded

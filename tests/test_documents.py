@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from weilgraph import DocumentError, InputDocument, Report, theta_graph
+from weilgraph import DocumentError, InputDocument, Report, documents, theta_graph
 
 THETA_JSON = '{"vertices": 2, "edges": [[0, 1], [0, 1], [0, 1]]}'
 THETA_CANONICAL = '{"edges":[[0,1],[0,1],[0,1]],"vertices":2}'
@@ -81,6 +81,29 @@ def test_decorations_round_trip():
 def test_rejects_malformed(raw):
     with pytest.raises(DocumentError):
         InputDocument.parse(raw)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vertices": 1001, "edges": [[0, 1]] * 5}, "vertices: 1001 is over 1000"),
+        ({"vertices": 2, "edges": [[0, 1]] * 2001}, "edges: 2001 is over 2000"),
+    ],
+    ids=["vertices", "edges"],
+)
+def test_counts_are_refused_before_any_edge_is_read(doc, message, monkeypatch):
+    # the vertex count is the one integer read before a count is refused
+    reads = []
+    expect_int = documents._expect_int
+
+    def counted(value, what):
+        reads.append(what)
+        return expect_int(value, what)
+
+    monkeypatch.setattr(documents, "_expect_int", counted)
+    with pytest.raises(DocumentError, match=f"^{message}$"):
+        InputDocument.parse(json.dumps(doc))
+    assert len(reads) <= 1
 
 
 def test_document_error_is_value_error():

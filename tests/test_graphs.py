@@ -50,10 +50,9 @@ def test_validation():
     [
         Chain1,
         Cochain1,
-        MultiGraph.delete_edges,
         lambda g, es: g.subdivide(2, which=es),
     ],
-    ids=["Chain1", "Cochain1", "delete_edges", "subdivide"],
+    ids=["Chain1", "Cochain1", "subdivide"],
 )
 @pytest.mark.parametrize("bad", [-1, theta_graph().edge_count])
 def test_edge_subsets_are_range_checked(build, bad):
@@ -139,7 +138,8 @@ def _cycle_edges_by_deletion(g):
     return frozenset(
         e
         for e in range(g.edge_count)
-        if g.delete_edges({e})[0].component_count == g.component_count
+        if MultiGraph(g.vertex_count, g.edges[:e] + g.edges[e + 1 :]).component_count
+        == g.component_count
     )
 
 
@@ -178,15 +178,6 @@ def test_fundamental_cycles():
             assert is_simple_cycle(Chain1(g, support))
             assert e in support
             assert support <= forest | {e}
-
-
-def test_delete_edges():
-    child, kept = dumbbell_graph().delete_edges({1})
-    assert child.edges == ((0, 0), (1, 1))
-    assert kept == (0, 2)
-    assert child.component_count == 2
-    with pytest.raises(ValueError):
-        theta_graph().delete_edges({7})
 
 
 def test_subdivide_all_edges():

@@ -34,6 +34,18 @@ def test_chain_validation():
         Cochain0(g, frozenset({2}))
 
 
+def test_chains_and_cochains_keep_their_roles():
+    # one support in the two roles: unequal, and each repr names its role
+    g = theta_graph()
+    support = frozenset({0, 2})
+    chain, cochain = Chain1(g, support), Cochain1(g, support)
+    assert chain != cochain
+    assert chain == Chain1._of(g, support)
+    assert cochain == Cochain1._of(g, support)
+    assert repr(chain).startswith("Chain1(")
+    assert repr(cochain).startswith("Cochain1(")
+
+
 def test_boundary():
     # a chain is a cycle exactly when its GF(2) boundary is zero
     g = path_graph(3)

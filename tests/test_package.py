@@ -87,7 +87,7 @@ def test_package_exports_each_module_name_once():
     ] == []
 
 
-def test_every_cache_is_bounded():
+def _package_caches():
     # caches found as perfbench/workloads.py finds them, after every
     # submodule is imported
     for mod in pkgutil.iter_modules(weilgraph.__path__):
@@ -100,7 +100,23 @@ def test_every_cache_is_bounded():
         if hasattr(obj, "cache_clear") and hasattr(obj, "cache_info")
     }
     assert caches
+    return caches
+
+
+def test_every_cache_is_bounded():
+    caches = _package_caches()
     assert [n for n, c in caches.items() if c.cache_parameters()["maxsize"] is None] == []
+
+
+def test_every_cache_is_hit():
+    # a memo earns its place by reuse: from cold caches, a small model
+    # sweep and torsion sweep hit every cache at least once
+    caches = _package_caches()
+    for cache in caches.values():
+        cache.cache_clear()
+    assert weilgraph.model_sweep(3).ok
+    assert weilgraph.torsion_sweep(3, rs=(2, 3)).ok
+    assert [n for n, c in caches.items() if c.cache_info().hits == 0] == []
 
 
 def _tree(path):

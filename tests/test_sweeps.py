@@ -355,6 +355,35 @@ def test_model_sweep_checks_what_the_validated_model_computes(monkeypatch):
     assert seen == expected
 
 
+GF2_SWEEPS = {
+    "perfect-pairing": lambda: perfect_pairing_sweep(3),
+    "cover-lift-pairing": lambda: pairing_equivalence_sweep(3),
+    "torsion-order-and-form": lambda: model_sweep(3),
+}
+ALL_SWEEPS = {**GF2_SWEEPS, "subdivision-r-torsion": lambda: torsion_sweep(3, rs=(2, 3))}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a sweep re-validated a value it built")
+
+
+@pytest.mark.parametrize("sweep", ALL_SWEEPS.values(), ids=ALL_SWEEPS.keys())
+def test_sweeps_build_their_graphs_unchecked(sweep, monkeypatch):
+    # the enumerated graphs, reduced graphs and subdivisions are built
+    # trusted: no sweep runs the public constructor's checks
+    monkeypatch.setattr(MultiGraph, "__post_init__", _refuse)
+    res = sweep()
+    assert res.ok and res.instances > 0
+
+
+@pytest.mark.parametrize("sweep", GF2_SWEEPS.values(), ids=GF2_SWEEPS.keys())
+def test_gf2_sweeps_check_no_edge_subset(sweep, monkeypatch):
+    # their chains, cochains and reduced graphs index edges by construction
+    monkeypatch.setattr(MultiGraph, "_edge_subset", _refuse)
+    res = sweep()
+    assert res.ok and res.instances > 0
+
+
 def test_torsion_sweep_small():
     res = torsion_sweep(3, rs=(2,))
     assert res.ok
