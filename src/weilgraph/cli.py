@@ -59,7 +59,7 @@ _MODEL_SWEEP_CAP = 5
 # The Weil form of a model of arithmetic genus g has dimension at most
 # 2 g, and its report holds the whole Gram; the homology report holds the
 # genus x genus Gram under the same ceiling.
-# The vertex and edge ceilings are the document's own (``documents``).
+# The vertex, edge and comma ceilings are the document's own (``documents``).
 # A document is read no further than its length ceiling, so neither a huge
 # file nor an endless stdin is ever held whole: the largest compact
 # document the other ceilings admit, 3000 genera and stabilizers at

@@ -23,22 +23,22 @@ Per graph: the cocycles that index the h block (``homology_basis``'s
 cache).  Per graph and set of even edges, not per model: the reduced graph,
 its cycle basis pushed into the parent graph and the h x q pairing bits.
 ``_reduced_blocks`` computes these, with the graph's cocycles alongside,
-and keeps nothing: a model sweep asks once per ``(graph, even_edges)``
-key, and a model keeps its own in ``_blocks``.  Per model there remains
-only the genus bookkeeping, ``_two_torsion_order``, and the assembly of
-the Gram rows around those blocks, ``_weil_form``.  The methods of
-``TwistedCurveModel`` call these two with the model's own blocks; a sweep
-that holds the blocks of one even-edge set calls them directly for every
-decoration that shares it, and builds no model.  The reduced genus counts
-edges, vertices and components of the reduced graph rather than the cycle
-basis that sizes the q block, so the torsion order and the form dimension
-stay two independent counts.
+in an ``lru_cache`` of 16 ``(graph, even_edges)`` keys, which the models
+of one key share, whether a sweep or the public model asks.  Per model
+there remains only the genus bookkeeping, ``_two_torsion_order``, and the
+assembly of the Gram rows around those blocks, ``_weil_form``.  The
+methods of ``TwistedCurveModel`` call these two with the blocks of the
+model's key; a sweep that holds the blocks of one even-edge set calls them
+directly for every decoration that shares it, and builds no model.  The
+reduced genus counts edges, vertices and components of the reduced graph
+rather than the cycle basis that sizes the q block, so the torsion order
+and the form dimension stay two independent counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from operator import index
 from typing import NamedTuple
 
@@ -63,6 +63,9 @@ class _ReducedBlocks(NamedTuple):
     transposed: tuple[int, ...]  # row j, bit i: the same bit
 
 
+# Test 3's literal models hit it 1,190,521 times on 40,090 misses; a
+# model sweep asks once per key, so it only misses.
+@lru_cache(maxsize=16)
 def _reduced_blocks(graph: MultiGraph, even_edges: EdgeSubset) -> _ReducedBlocks:
     """The blocks of the models on ``graph`` with even edges ``even_edges``:
     the reduced graph keeps those edges, in parent edge order."""
@@ -152,14 +155,9 @@ class TwistedCurveModel:
     def even_edges(self) -> EdgeSubset:
         return frozenset(e for e, s in enumerate(self.edge_order) if s % 2 == 0)
 
-    @cached_property
-    def _blocks(self) -> _ReducedBlocks:
-        """Computed once: the order, reduced genus and Weil form read them."""
-        return _reduced_blocks(self.graph, self.even_edges())
-
     def reduced_graph(self) -> MultiGraph:
         """The dual graph with the odd-order edges dropped."""
-        return self._blocks.reduced
+        return _reduced_blocks(self.graph, self.even_edges()).reduced
 
     def reduced_genus(self) -> int:
         return self.reduced_graph().genus()
@@ -187,7 +185,8 @@ class TwistedCurveModel:
         h x q corner is the graph pairing of the cohomology basis against
         the reduced graph's cycle basis pushed into the parent graph.
         """
-        return _weil_form(self._blocks, self.vertex_genus)
+        blocks = _reduced_blocks(self.graph, self.even_edges())
+        return _weil_form(blocks, self.vertex_genus)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ plus optional ``genera`` (one per vertex, default zero) and
 ``stabilizers`` (one per edge, default one).  Parsing is strict: unknown
 keys, wrong lengths and out-of-range indices are all document errors, and
 so are more than ``MAX_VERTICES`` vertices or ``MAX_EDGES`` edges, refused
-before any edge is read.
+before any edge is read, and more than ``MAX_COMMAS`` commas, refused
+before the text is parsed.
 
 Reports serialize canonically: sorted keys, compact separators, no
 timestamps, and the input digest is the SHA-256 of the document's own
@@ -38,6 +39,10 @@ __all__ = [
 # through: genus and vertices of at most 1000 each allow at most 1999 edges.
 MAX_VERTICES = 1000
 MAX_EDGES = 2000
+# The most commas a document within those ceilings holds, so a longer list
+# is refused before ``json.loads`` builds it: 2E - 1 in the edge list, E - 1
+# in the stabilizers, V - 1 in the genera and 3 between the four keys.
+MAX_COMMAS = 3 * MAX_EDGES + MAX_VERTICES
 
 
 class DocumentError(ValueError):
@@ -72,6 +77,9 @@ class InputDocument:
 
     @classmethod
     def parse(cls, text: str) -> "InputDocument":
+        commas = text.count(",")
+        if commas > MAX_COMMAS:
+            raise DocumentError(f"commas: {commas} is over {MAX_COMMAS}")
         try:
             obj = json.loads(text)
         except (ValueError, RecursionError) as err:  # bad JSON, a huge int, deep nesting

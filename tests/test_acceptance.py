@@ -1,8 +1,8 @@
 """Acceptance gate: seven checks, each printing one PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
-go by; the gate is the slowest part of the suite (37 s on two cores)
-because several checks are exhaustive sweeps.  Checks 3 and 4 share one
+go by; the gate is the slowest part of the suite (37 s on a quiet two-core
+machine) because several checks are exhaustive sweeps.  Checks 3 and 4 share one
 enumeration of decorated models, split into tiers: every stabilizer
 assignment from {1,2,3,4} up to 4 edges, and at 5 edges the even/odd
 parity classes exhaustively plus a verified parity collapse for every

@@ -25,7 +25,7 @@ from weilgraph.cli import (
     MAX_VERIFY_FACTORS,
     main,
 )
-from weilgraph.documents import MAX_EDGES, MAX_VERTICES
+from weilgraph.documents import MAX_COMMAS, MAX_EDGES, MAX_VERTICES
 
 THETA = '{"vertices": 2, "edges": [[0, 1], [0, 1], [0, 1]]}'
 THETA_MODEL = (
@@ -538,12 +538,17 @@ def test_edge_ceiling(command, tmp_path, capsys):
     argv = [command, "--graph", str(path), "--json"]
     if command == "cover":
         argv += ["--gamma", "0"]
-    for m in (MAX_EDGES + 1, 100_000):
+    # 100,000 edges give 200,000 commas, more than any document within the
+    # ceilings holds
+    for m, message in (
+        (MAX_EDGES + 1, f"edges: {MAX_EDGES + 1} is over {MAX_EDGES}"),
+        (100_000, f"commas: 200000 is over {MAX_COMMAS}"),
+    ):
         path.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]] * m}))
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"edges: {m} is over {MAX_EDGES}" in captured.err
+        assert message in captured.err
     path.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]] * MAX_EDGES}))
     code = main(argv)
     captured = capsys.readouterr()

@@ -226,32 +226,26 @@ def test_reduced_blocks_are_per_graph():
         assert {c.edges for c in form.reduced_cycles} == expected[graph]
 
 
-def test_a_model_computes_its_blocks_once(monkeypatch):
+def test_a_model_computes_its_blocks_once():
     # the order, the reduced genus, the reduced graph and the Weil form all
     # read one computation of the model's blocks
-    calls = []
-    blocks = curvemodel._reduced_blocks
-
-    def counted(graph, even_edges):
-        calls.append(even_edges)
-        return blocks(graph, even_edges)
-
-    monkeypatch.setattr(curvemodel, "_reduced_blocks", counted)
+    curvemodel._reduced_blocks.cache_clear()
     model = TwistedCurveModel(theta_graph(), (0, 1), (2, 3, 2))
     form = model.weil_form()
     assert model.two_torsion_order() == 2 ** form.total_dim == 2**5
     assert model.reduced_genus() == 1
     assert model.reduced_graph().edges == ((0, 1), (0, 1))
     assert form == model.weil_form()
-    assert calls == [frozenset({0, 2})]
+    assert curvemodel._reduced_blocks.cache_info().misses == 1
 
 
 def test_gf2_caches_miss_as_if_unbounded(monkeypatch):
     # the model sweep reuses a basis only among neighbouring graphs, so the
     # bound on the cache costs no misses; homology_basis is bound by name
-    # in three modules
+    # in three modules; each run starts with both GF(2) caches cold
     def misses():
         homology.homology_basis.cache_clear()
+        curvemodel._reduced_blocks.cache_clear()
         assert model_sweep(4).ok
         return homology.homology_basis.cache_info().misses
 

@@ -106,6 +106,34 @@ def test_counts_are_refused_before_any_edge_is_read(doc, message, monkeypatch):
     assert len(reads) <= 1
 
 
+def test_too_many_commas_are_refused_before_parsing(monkeypatch):
+    # 2,000,000 edges are under the length ceiling but far past any
+    # document the counts admit; json.loads never sees them
+    def refused(text):
+        raise AssertionError("json.loads was called")
+
+    monkeypatch.setattr(documents.json, "loads", refused)
+    text = json.dumps({"vertices": 2, "edges": [[0, 1]] * 2_000_000})
+    with pytest.raises(DocumentError, match="^commas: 4000000 is over 7000$"):
+        InputDocument.parse(text)
+
+
+def test_the_largest_document_the_ceilings_admit_parses():
+    # every count at its ceiling: exactly MAX_COMMAS commas
+    vertices, m = documents.MAX_VERTICES, documents.MAX_EDGES
+    edges = [[e % vertices, (e + 1) % vertices] for e in range(m)]
+    doc = {
+        "vertices": vertices,
+        "edges": edges,
+        "genera": [0] * vertices,
+        "stabilizers": [2] * m,
+    }
+    text = json.dumps(doc)
+    assert text.count(",") == documents.MAX_COMMAS == 7000
+    parsed = InputDocument.parse(text)
+    assert parsed.to_mapping() == doc
+
+
 def test_document_error_is_value_error():
     assert issubclass(DocumentError, ValueError)
 

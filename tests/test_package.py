@@ -9,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -110,12 +111,17 @@ def test_every_cache_is_bounded():
 
 def test_every_cache_is_hit():
     # a memo earns its place by reuse: from cold caches, a small model
-    # sweep and torsion sweep hit every cache at least once
+    # sweep, a torsion sweep and the public models on theta (orders 1-4,
+    # genera 0-1) hit every cache at least once
     caches = _package_caches()
     for cache in caches.values():
         cache.cache_clear()
     assert weilgraph.model_sweep(3).ok
     assert weilgraph.torsion_sweep(3, rs=(2, 3)).ok
+    for orders in product(range(1, 5), repeat=3):
+        for genera in product(range(2), repeat=2):
+            model = weilgraph.TwistedCurveModel(weilgraph.theta_graph(), genera, orders)
+            assert model.two_torsion_order() == 2 ** model.weil_form().total_dim
     assert [n for n, c in caches.items() if c.cache_info().hits == 0] == []
 
 
