@@ -31,11 +31,11 @@ def main() -> None:
     d = Divisor(graph, (5, -5))
     reduced = dhar_reduce(graph, d)
     print("divisor (5, -5) reduces to:", reduced.coefficients)
-    print("equivalent to zero:", divisors_equivalent(graph, d, Divisor.zero(graph)))
+    print("equivalent to zero:", divisors_equivalent(d, Divisor.zero(graph)))
     gen = group.generators[0]
     print("order-3 generator:", gen.coefficients)
     print("3 * generator ~ 0:",
-          divisors_equivalent(graph, gen.scale(3), Divisor.zero(graph)))
+          divisors_equivalent(gen.scale(3), Divisor.zero(graph)))
     print()
 
     # the 3-cycle has genus 1 but its critical group Z/3 has no 2-torsion;
@@ -60,7 +60,7 @@ def main() -> None:
         for gen in report.generators:
             child = report.subdivision
             assert gen.degree() == 0
-            assert divisors_equivalent(child, gen.scale(r), Divisor.zero(child))
+            assert divisors_equivalent(gen.scale(r), Divisor.zero(child))
     print("every torsion generator has degree 0 and r * generator ~ 0")
 
 

@@ -11,12 +11,12 @@ Subcommands:
 Input graphs and models are JSON documents (see ``documents``).  Exit
 codes: 0 success, 2 malformed document or usage, 3 violated
 precondition (e.g. a chain that is not a simple cycle), 4 a
-verification check found a counterexample.  Besides ``verify`` and
-``tropical``, ``cover --alpha`` and ``torsion`` run the checks of the
-sweeps on their one instance (``sweeps._pairing_problems`` and
-``sweeps._model_problems``); when any fails they still print their report,
-write the failed kinds to stderr on one line, ``counterexample: <kinds>``,
-and exit 4.
+verification check found a counterexample.  Every command that finds one
+prints its report as usual, writes the failed kinds to stderr on one line,
+``counterexample: <kinds>``, and exits 4 (``_verdict``): ``cover --alpha``
+and ``torsion`` run the sweeps' checks on their one instance
+(``sweeps._pairing_problems``, ``sweeps._model_problems``), ``tropical``
+writes ``count`` and ``verify`` names the sweeps that failed.
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ def cmd_tropical(args) -> int:
         f"verdict: {'PASS' if report.verdict else 'FAIL'}",
     ]
     _emit(Report("tropical", doc.digest(), payload), lines, args.json)
-    return EXIT_OK if report.verdict else EXIT_COUNTEREXAMPLE
+    return _verdict([] if report.verdict else ["count"])
 
 
 def cmd_verify(args) -> int:
@@ -362,7 +362,7 @@ def cmd_verify(args) -> int:
             lines.append(f"  counterexample in {res.name}: {failure}")
     lines.append("all sweeps passed" if payload["ok"] else "FAILURES FOUND")
     _emit(Report("verify", digest, payload), lines, args.json)
-    return EXIT_OK if payload["ok"] else EXIT_COUNTEREXAMPLE
+    return _verdict([res.name for res in results if not res.ok])
 
 
 class _Parser(argparse.ArgumentParser):

@@ -150,13 +150,13 @@ def cover_to_dot(cover: DoubleCover) -> str:
     n = cover.base.vertex_count
 
     def name(w: int) -> str:
-        return f"v{w % n}_{'a' if w < n else 'b'}"
+        return f"v{cover.project_vertex(w)}_{'a' if w < n else 'b'}"
 
     lines = ["graph cover {"]
     for w in range(2 * n):
         lines.append(f"  {name(w)};")
     for k, (u, v) in enumerate(cover.total.edges):
-        e = k // 2
+        e = cover.project_edge(k)
         style = ' style=dashed' if e in cover.classifying.edges else ""
         lines.append(f"  {name(u)} -- {name(v)} [label={e}{style}];")
     lines.append("}")

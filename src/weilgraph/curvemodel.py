@@ -42,7 +42,7 @@ from functools import lru_cache
 from operator import index
 from typing import NamedTuple
 
-from .graphs import EdgeSubset, MultiGraph
+from .graphs import MultiGraph
 from .homology import Chain1, Cochain1, _pairing_rows, homology_basis
 from .linalg import GF2Matrix
 
@@ -66,7 +66,7 @@ class _ReducedBlocks(NamedTuple):
 # Test 3's literal models hit it 1,190,521 times on 40,090 misses; a
 # model sweep asks once per key, so it only misses.
 @lru_cache(maxsize=16)
-def _reduced_blocks(graph: MultiGraph, even_edges: EdgeSubset) -> _ReducedBlocks:
+def _reduced_blocks(graph: MultiGraph, even_edges: frozenset) -> _ReducedBlocks:
     """The blocks of the models on ``graph`` with even edges ``even_edges``:
     the reduced graph keeps those edges, in parent edge order."""
     kept = sorted(even_edges)
@@ -152,7 +152,7 @@ class TwistedCurveModel:
 
     # -- the reduced graph and torsion count ---------------------------------
 
-    def even_edges(self) -> EdgeSubset:
+    def even_edges(self) -> frozenset:
         return frozenset(e for e, s in enumerate(self.edge_order) if s % 2 == 0)
 
     def reduced_graph(self) -> MultiGraph:

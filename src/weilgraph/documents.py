@@ -4,10 +4,10 @@ An input document is one JSON object with a ``vertices`` count and an
 ``edges`` list of ``[u, v]`` pairs (0-indexed, loops and parallels fine),
 plus optional ``genera`` (one per vertex, default zero) and
 ``stabilizers`` (one per edge, default one).  Parsing is strict: unknown
-keys, wrong lengths and out-of-range indices are all document errors, and
-so are more than ``MAX_VERTICES`` vertices or ``MAX_EDGES`` edges, refused
-before any edge is read, and more than ``MAX_COMMAS`` commas, refused
-before the text is parsed.
+or repeated keys, wrong lengths and out-of-range indices are all document
+errors, and so are more than ``MAX_VERTICES`` vertices or ``MAX_EDGES``
+edges, refused before any edge is read, and more than ``MAX_COMMAS``
+commas, refused before the text is parsed.
 
 Reports serialize canonically: sorted keys, compact separators, no
 timestamps, and the input digest is the SHA-256 of the document's own
@@ -59,6 +59,17 @@ def _digest(obj) -> str:
     return hashlib.sha256(_canonical_json(obj).encode()).hexdigest()
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object hook of every ``json.loads`` here: a key given twice is
+    refused, where ``json`` would keep its last value unseen."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is repeated")
+        obj[key] = value
+    return obj
+
+
 def _expect_int(value, what: str) -> int:
     # bool is an int subclass and must not sneak through
     if isinstance(value, bool) or not isinstance(value, int):
@@ -81,7 +92,7 @@ class InputDocument:
         if commas > MAX_COMMAS:
             raise DocumentError(f"commas: {commas} is over {MAX_COMMAS}")
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as err:  # bad JSON, a huge int, deep nesting
             raise DocumentError(f"not valid JSON: {err}") from err
         if not isinstance(obj, dict):
@@ -183,7 +194,7 @@ class Report:
     @classmethod
     def from_json(cls, text: str) -> "Report":
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as err:  # bad JSON, a huge int, deep nesting
             raise DocumentError(f"not a valid report: {err}") from err
         if not isinstance(obj, dict):

@@ -31,7 +31,6 @@ from operator import index
 from typing import Iterable
 
 __all__ = [
-    "EdgeSubset",
     "MultiGraph",
     "bouquet_graph",
     "cycle_graph",
@@ -39,9 +38,6 @@ __all__ = [
     "path_graph",
     "theta_graph",
 ]
-
-# Edge subsets are plain frozensets of edge indices into MultiGraph.edges.
-EdgeSubset = frozenset
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ class MultiGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def _edge_subset(self, edges: Iterable[int]) -> EdgeSubset:
+    def _edge_subset(self, edges: Iterable[int]) -> frozenset:
         """``edges`` as a frozenset of ints, each checked to index an edge."""
         subset = frozenset(map(index, edges))
         for e in subset:
@@ -173,7 +169,7 @@ class MultiGraph:
 
     # -- forests, cycles, separating edges -----------------------------------
 
-    def spanning_forest(self) -> EdgeSubset:
+    def spanning_forest(self) -> frozenset:
         """Greedy lowest-index spanning forest.  Loops never qualify."""
         parent = list(range(self.vertex_count))
 
@@ -191,7 +187,7 @@ class MultiGraph:
                 picked.append(e)
         return frozenset(picked)
 
-    def fundamental_cycles(self) -> dict[int, EdgeSubset]:
+    def fundamental_cycles(self) -> dict[int, frozenset]:
         """The fundamental cycle of each non-forest edge of ``spanning_forest``,
         keyed by that edge, in edge order: the edge plus the forest path
         between its ends (a loop alone).
@@ -216,7 +212,7 @@ class MultiGraph:
                         if depth[y] < 0:
                             depth[y], up[y] = depth[x] + 1, (e, x)
                             order.append(y)
-        cycles: dict[int, EdgeSubset] = {}
+        cycles: dict[int, frozenset] = {}
         for e, (u, v) in enumerate(edges):
             if e not in forest:
                 cycle = [e]
@@ -228,7 +224,7 @@ class MultiGraph:
                 cycles[e] = frozenset(cycle)
         return cycles
 
-    def non_separating_edges(self) -> EdgeSubset:
+    def non_separating_edges(self) -> frozenset:
         """Edges lying on some cycle, whose deletion keeps the component
         count: the union of the ``fundamental_cycles``."""
         return frozenset().union(*self.fundamental_cycles().values())

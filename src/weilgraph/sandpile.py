@@ -281,19 +281,17 @@ def dhar_reduce(graph: MultiGraph, divisor: Divisor) -> Divisor:
         _fire(d, neigh, [0 if b else times for b in burnt])
 
 
-def divisors_equivalent(graph: MultiGraph, d1: Divisor, d2: Divisor) -> bool:
+def divisors_equivalent(d1: Divisor, d2: Divisor) -> bool:
     """Linear equivalence via uniqueness of the representative reduced at
     vertex 0.
 
     The zero divisor is reduced on a connected graph, so ``d1`` and
     ``d2`` are equivalent exactly when ``d1 - d2`` reduces to zero: one
-    reduction instead of two.
+    reduction instead of two.  Divisors on different graphs raise, in the
+    subtraction.
     """
-    if d1.graph != graph or d2.graph != graph:
-        raise ValueError("divisors live on a different graph")
-    if d1.degree() != d2.degree():
-        return False
-    return not any(dhar_reduce(graph, d1 - d2).coefficients)
+    diff = d1 - d2
+    return diff.degree() == 0 and not any(dhar_reduce(diff.graph, diff).coefficients)
 
 
 # ---------------------------------------------------------------------------

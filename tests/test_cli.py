@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -207,6 +208,20 @@ def test_tropical(theta_file, capsys):
     assert "verdict: PASS" in out
 
 
+def test_tropical_wrong_count_exits_4(theta_file, capsys, monkeypatch):
+    verify = cli.verify_torsion_on_subdivision
+    monkeypatch.setattr(
+        cli,
+        "verify_torsion_on_subdivision",
+        lambda graph, r, mode: replace(verify(graph, r, mode=mode), torsion_count=5),
+    )
+    assert main(["tropical", "--graph", theta_file, "--r", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "counterexample: count\n"
+    assert "r-torsion count: 5, expected 4" in captured.out
+    assert "verdict: FAIL" in captured.out
+
+
 def test_tropical_json_nonsep(theta_file, capsys):
     code = main(
         ["tropical", "--graph", theta_file, "--r", "3", "--mode", "nonsep", "--json"]
@@ -237,6 +252,15 @@ def test_verify_inject_fault(capsys):
     out = capsys.readouterr().out
     assert "FAILURES FOUND" in out
     assert "counterexample" in out
+
+
+def test_verify_inject_fault_names_the_failed_sweeps(capsys):
+    assert main(["verify", "--max-edges", "2", "--inject-fault", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert Report.from_json(captured.out.strip()).payload["ok"] is False
+    assert captured.err == (
+        "counterexample: cover-lift-pairing,torsion-order-and-form,subdivision-r-torsion\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -582,6 +606,19 @@ def test_document_length_ceiling(stdin, tmp_path, capsys, monkeypatch):
     assert captured.err == (
         f"error: {'-' if stdin else path}: longer than {len(THETA)} characters\n"
     )
+
+
+def test_repeated_key_document_exits_2(capsys, monkeypatch):
+    # json alone would read it as one edge on two vertices and exit 0
+    monkeypatch.setattr(
+        sys,
+        "stdin",
+        io.StringIO('{"vertices": 1, "edges": [[0, 0]], "vertices": 2, "edges": [[0, 1]]}'),
+    )
+    assert main(["homology", "--graph", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not valid JSON: key 'vertices' is repeated\n"
 
 
 def test_homology_genus_ceiling(tmp_path, capsys):

@@ -74,6 +74,11 @@ def test_decorations_round_trip():
         '{"vertices": 2, "edges": [[0, 1]], "stabilizers": []}',
         '{"vertices": 2, "edges": [[0, 1]], "stabilizers": [0]}',
         '{"vertices": 2, "edges": [[0, 1]], "stabilizers": [1.5]}',
+        # json alone keeps each key's last value: one edge on two vertices
+        pytest.param(
+            '{"vertices": 1, "edges": [[0, 0]], "vertices": 2, "edges": [[0, 1]]}',
+            id="repeated-key",
+        ),
         pytest.param('{"vertices": 1%s, "edges": []}' % ("0" * 5000), id="5001-digit-int"),
         pytest.param("[" * 100000 + "]" * 100000, id="nested-100000"),
     ],
@@ -173,6 +178,11 @@ def test_report_schema_version_is_not_settable():
         '{"command": "t", "input_digest": "x", "payload": {}, "schema_version": 1, "y": 0}',
         '{"command": "t", "input_digest": "x", "payload": {}, "schema_version": true}',
         '{"command": "t", "input_digest": "x", "payload": {}, "schema_version": 1.0}',
+        pytest.param(
+            '{"command": "t", "command": "t", "input_digest": "x", "payload": {},'
+            ' "schema_version": 1}',
+            id="repeated-key",
+        ),
         pytest.param(
             '{"command": "t", "input_digest": "x", "payload": {}, "schema_version": 1%s}'
             % ("0" * 5000),

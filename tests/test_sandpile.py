@@ -117,7 +117,7 @@ def test_dhar_properties():
         assert all(c >= 0 for c in red.coefficients[1:])
         assert dhar_reduce(g, red) == red
         assert red.degree() == d.degree()
-        assert divisors_equivalent(g, d, red)
+        assert divisors_equivalent(d, red)
 
 
 def test_dhar_reduced_is_class_invariant():
@@ -138,12 +138,12 @@ def test_dhar_reduced_is_class_invariant():
 def test_equivalence_cases():
     g = cycle_graph(3)
     zero = Divisor.zero(g)
-    assert not divisors_equivalent(g, Divisor(g, (1, -1, 0)), zero)
-    assert divisors_equivalent(g, Divisor(g, (3, -3, 0)), zero)
+    assert not divisors_equivalent(Divisor(g, (1, -1, 0)), zero)
+    assert divisors_equivalent(Divisor(g, (3, -3, 0)), zero)
     # degree mismatch short-circuits
-    assert not divisors_equivalent(g, Divisor(g, (1, 0, 0)), zero)
+    assert not divisors_equivalent(Divisor(g, (1, 0, 0)), zero)
     with pytest.raises(ValueError):
-        divisors_equivalent(g, zero, Divisor.zero(theta_graph()))
+        divisors_equivalent(zero, Divisor.zero(theta_graph()))
 
 
 def test_critical_group_frozen():
@@ -168,11 +168,11 @@ def test_generator_orders():
         zero = Divisor.zero(g)
         for factor, gen in zip(group.invariant_factors, group.generators):
             assert gen.degree() == 0
-            assert divisors_equivalent(g, gen.scale(factor), zero)
-            assert not divisors_equivalent(g, gen, zero)
+            assert divisors_equivalent(gen.scale(factor), zero)
+            assert not divisors_equivalent(gen, zero)
             for k in range(2, factor):
                 if factor % k == 0:
-                    assert not divisors_equivalent(g, gen.scale(factor // k), zero)
+                    assert not divisors_equivalent(gen.scale(factor // k), zero)
 
 
 def test_r_torsion():
@@ -218,8 +218,8 @@ def test_torsion_report_generators():
         # generators live on the subdivided graph, degree 0, order dividing r
         assert gen.graph == child
         assert gen.degree() == 0
-        assert divisors_equivalent(child, gen.scale(3), zero)
-        assert not divisors_equivalent(child, gen, zero)
+        assert divisors_equivalent(gen.scale(3), zero)
+        assert not divisors_equivalent(gen, zero)
 
 
 def test_torsion_modes_and_errors():
